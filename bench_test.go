@@ -270,7 +270,8 @@ func BenchmarkArbitrate(b *testing.B) {
 // BenchmarkBroadcast measures group fan-out over netsim: one server-
 // originated message delivered to every member of an N-member group. The
 // encodes/op metric proves the encode-once invariant (exactly one
-// protocol.Encode per broadcast regardless of group size), and allocs/op
+// delivery-path encode per broadcast regardless of group size, read
+// from the server's own counter), and allocs/op
 // must stay flat in N modulo the per-recipient delivery itself.
 func BenchmarkBroadcast(b *testing.B) {
 	for _, n := range []int{2, 8, 32} {
@@ -305,8 +306,9 @@ func BenchmarkBroadcast(b *testing.B) {
 					}
 				}
 			}
+			settleJoins(b, clients, "class")
 			b.ReportAllocs()
-			encBefore := protocol.EncodeCount()
+			encBefore := lab.Server.Encodes()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ev := protocol.MustNew(protocol.TChatEvent, protocol.SequencedBody{
@@ -320,9 +322,22 @@ func BenchmarkBroadcast(b *testing.B) {
 			}
 			converged(int64(b.N))
 			b.StopTimer()
-			encoded := protocol.EncodeCount() - encBefore
+			encoded := lab.Server.Encodes() - encBefore
 			b.ReportMetric(float64(encoded)/float64(b.N), "encodes/op")
 		})
+	}
+}
+
+// settleJoins makes one more round trip per member on the group's
+// owning node before an encode count starts. A node handles a session's
+// requests in order, so the reply proves that session's join handler —
+// and the lights push it ends with — has finished encoding.
+func settleJoins(b *testing.B, clients []*client.Client, groupID string) {
+	b.Helper()
+	for _, c := range clients {
+		if err := c.Replay(groupID, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -488,8 +503,8 @@ func BenchmarkBoardStorm(b *testing.B) {
 // metric proves the encode-once invariant survives the cluster plane —
 // the node encodes each logged event exactly once for its whole
 // fan-out, and successor replication reuses those bytes verbatim (its
-// envelope wrap is plain marshalling of a per-append forward, not
-// per-recipient work).
+// binary forward envelope is per-append work, not per-recipient, and
+// is not a delivery-path encode).
 func BenchmarkClusterBroadcast(b *testing.B) {
 	for _, n := range []int{2, 8} {
 		b.Run(fmt.Sprintf("members-%d", n), func(b *testing.B) {
@@ -533,8 +548,9 @@ func BenchmarkClusterBroadcast(b *testing.B) {
 					}
 				}
 			}
+			settleJoins(b, clients, gid)
 			b.ReportAllocs()
-			encBefore := protocol.EncodeCount()
+			encBefore := cl.Nodes[1].Encodes()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ev := protocol.MustNew(protocol.TChatEvent, protocol.SequencedBody{
@@ -548,7 +564,7 @@ func BenchmarkClusterBroadcast(b *testing.B) {
 			}
 			converged(int64(b.N))
 			b.StopTimer()
-			encoded := protocol.EncodeCount() - encBefore
+			encoded := cl.Nodes[1].Encodes() - encBefore
 			b.ReportMetric(float64(encoded)/float64(b.N), "encodes/op")
 		})
 	}

@@ -91,10 +91,8 @@ type Config struct {
 	// Trace stamps a sampled trace context (a fresh random trace ID plus
 	// the sampled bit) onto every request this client sends, asking each
 	// hop — router relay, owner dispatch, replication, fan-out — to
-	// record named spans for the op. On the JSON framing the context
-	// always rides; on the binary framing it is sent only when the
-	// session negotiated wire version ≥ 2 (older binary peers would
-	// misparse the extension), so enabling Trace never breaks interop.
+	// record named spans for the op. The context rides on either
+	// framing: JSON fields, or the binary frame's trace extension.
 	Trace bool
 }
 
@@ -163,7 +161,7 @@ type Client struct {
 	connDown     bool          // connection lost; Reconnect can resume
 	reconnecting bool          // a Reconnect is in flight (at most one)
 	// wireVer is the wire framing the server granted in the welcome (0 =
-	// JSON, 1 = binary): what this client's sends encode to. Renegotiated
+	// JSON, 2 = binary): what this client's sends encode to. Renegotiated
 	// on every Reconnect — a resume through an older server downgrades
 	// gracefully to JSON.
 	wireVer int
@@ -260,8 +258,7 @@ func Dial(cfg Config) (*Client, error) {
 // wireAsk is the wire version the hello requests: binary with the
 // trace-context extension unless pinned to JSON. The server echoes the
 // granted version in the welcome — an older server omits the field and
-// the session stays on JSON; a binary-only server answers 1 and the
-// client keeps trace context off its binary frames.
+// the session stays on JSON.
 func wireAsk(cfg Config) int {
 	if cfg.WireJSON {
 		return 0
@@ -371,9 +368,9 @@ func (c *Client) Estimator() *clock.Estimator { return c.est }
 func (c *Client) Clock() clock.Clock { return c.cfg.Clock }
 
 // WireVersion reports the wire framing the server granted in the
-// welcome: 0 is the JSON framing, 1 the length-prefixed binary framing,
-// 2 binary with the trace-context extension. It can change across
-// Reconnect (a -wire-json server demotes the session to JSON).
+// welcome: 0 is the JSON framing, 2 the binary framing with the
+// trace-context extension. It can change across Reconnect (an older
+// server demotes the session to JSON).
 func (c *Client) WireVersion() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -385,14 +382,9 @@ func (c *Client) send(msg protocol.Message) error {
 	conn := c.conn
 	ver := c.wireVer
 	c.mu.Unlock()
-	if ver == 1 {
-		// Binary without the trace extension: an older peer would read
-		// the trace bytes as body, so the context must not be framed.
-		msg.TraceID, msg.TraceParent, msg.TraceFlags = 0, 0, 0
-	}
 	var wire []byte
 	var err error
-	if ver >= 1 {
+	if ver >= 2 {
 		wire, err = protocol.EncodeBinary(msg)
 	} else {
 		wire, err = protocol.Encode(msg)

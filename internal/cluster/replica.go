@@ -6,24 +6,15 @@ import (
 	"dmps/internal/protocol"
 )
 
-// ReplicaEvent is one replicated logged event: the stamped wire bytes
-// exactly as the owner fanned them out, plus the sequence fields parsed
-// back out so a takeover can install them into the adopting node's log
-// plane with the original numbering (clients' cursors keep counting).
-type ReplicaEvent struct {
-	GSeq  int64
-	CSeq  int64
-	Class string
-	State bool
-	Wire  []byte
-}
-
 // GroupReplica is the takeover package for one group partition: the
 // retained logged-event suffix, the latest floor-state blob (mode,
 // holder, the queue the redacted wire bytes cannot carry, suspensions,
 // pin), and the membership roster with its chair.
 type GroupReplica struct {
-	Events  []ReplicaEvent
+	// Events are the replicated logged events: the owner's stamped
+	// binary frames with their sequence fields parsed back out, so a
+	// takeover installs them with the original numbering.
+	Events  []protocol.ReplicaEventBody
 	Floor   *protocol.FloorReplicaBody
 	Members []protocol.NodeMemberInfo
 	Chair   string
@@ -85,12 +76,12 @@ func (s *ReplicaStore) group(id string) *GroupReplica {
 }
 
 // ApplyEvent records one replicated logged event for a group. The wire
-// bytes are the owner's stamped fan-out bytes in either framing; their
+// bytes are the owner's stamped binary fan-out frame; its
 // envelope is parsed here (off the owner's hot path) to recover the
 // sequence fields. An optional floor blob replaces the group's takeover
 // floor state.
 func (s *ReplicaStore) ApplyEvent(groupID string, wire []byte, floor *protocol.FloorReplicaBody) {
-	env, err := protocol.DecodeAny(wire)
+	env, err := protocol.DecodeBinary(wire)
 	if err != nil || env.GSeq == 0 {
 		return
 	}
@@ -103,7 +94,7 @@ func (s *ReplicaStore) ApplyEvent(groupID string, wire []byte, floor *protocol.F
 		return
 	}
 	g.Head = env.GSeq
-	g.Events = append(g.Events, ReplicaEvent{
+	g.Events = append(g.Events, protocol.ReplicaEventBody{
 		GSeq: env.GSeq, CSeq: env.CSeq, Class: env.Class, State: env.State, Wire: wire,
 	})
 	if env.Class == protocol.ClassBoard {
@@ -275,6 +266,6 @@ func (s *ReplicaStore) Install(groupID string, rep GroupReplica) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cp := rep
-	cp.Events = append([]ReplicaEvent(nil), rep.Events...)
+	cp.Events = append([]protocol.ReplicaEventBody(nil), rep.Events...)
 	s.groups[groupID] = &cp
 }

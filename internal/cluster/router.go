@@ -56,11 +56,6 @@ type RouterConfig struct {
 	// Zero leaves recovery to explicit Recover calls (tests, admin
 	// tooling).
 	RecoverInterval time.Duration
-	// WireJSON, when set, strips the binary-framing ask from every
-	// client hello before it reaches the home node, pinning the whole
-	// cluster's client traffic to JSON — the same debugging escape
-	// hatch as server.Config.WireJSON, applied at the routing tier.
-	WireJSON bool
 }
 
 // Router is the thin routing tier in front of a node cluster: it
@@ -294,9 +289,6 @@ func (rs *routerSession) admit() error {
 	var hello protocol.HelloBody
 	if err := msg.Into(&hello); err != nil {
 		return err
-	}
-	if rs.r.cfg.WireJSON {
-		hello.WireVersion = 0
 	}
 	homeIdx := -1
 	if hello.Token != "" {
@@ -701,9 +693,9 @@ func (r *Router) askMigrate(j, node int, addr string, epoch int64) ([]string, er
 		return nil, err
 	}
 	defer conn.Close()
-	wire := WrapForward(protocol.ForwardBody{
+	wire := EncodeForward(protocol.ForwardBody{
 		Kind: protocol.ForwardMigrate, Node: node, Addr: addr, Epoch: epoch,
-	})
+	}, 0, 0)
 	if wire == nil {
 		return nil, errors.New("cluster: recover: encode migrate")
 	}
@@ -715,7 +707,7 @@ func (r *Router) askMigrate(j, node int, addr string, epoch int64) ([]string, er
 		if err != nil {
 			return nil, err
 		}
-		msg, err := protocol.Decode(reply)
+		msg, err := protocol.DecodeAny(reply)
 		if err != nil || msg.Type != protocol.TForward {
 			continue
 		}

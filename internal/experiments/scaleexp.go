@@ -68,8 +68,16 @@ func broadcastRound(n int) ([]any, error) {
 		}
 		clients = append(clients, c)
 	}
+	// A session's requests are handled in order: one more round trip
+	// per member proves every join handler, and the lights push it ends
+	// with, has finished encoding before the count starts.
+	for _, c := range clients {
+		if err := c.Replay("class", 0); err != nil {
+			return nil, err
+		}
+	}
 	const ops = 200
-	encBefore := protocol.EncodeCount()
+	encBefore := lab.Server.Encodes()
 	start := time.Now()
 	for i := 0; i < ops; i++ {
 		ev := protocol.MustNew(protocol.TChatEvent, protocol.SequencedBody{
@@ -85,7 +93,7 @@ func broadcastRound(n int) ([]any, error) {
 		}
 	}
 	elapsed := time.Since(start)
-	encodes := float64(protocol.EncodeCount()-encBefore) / float64(ops)
+	encodes := float64(lab.Server.Encodes()-encBefore) / float64(ops)
 	return []any{
 		"broadcast", fmt.Sprintf("%d members", n), ops, elapsed.Round(time.Millisecond),
 		fmt.Sprintf("%.0f", float64(ops)/elapsed.Seconds()),

@@ -194,6 +194,14 @@ func (n *Net) DialFrom(localHost, addr string) (transport.Conn, error) {
 	if !ok {
 		return nil, fmt.Errorf("netsim: %q: %w", addr, transport.ErrUnknownAddress)
 	}
+	// The backlog send holds closeMu, so a concurrent Close cannot close
+	// the channel under it; a listener closed since the lookup above is
+	// as unknown as one never bound.
+	l.closeMu.Lock()
+	defer l.closeMu.Unlock()
+	if l.closed {
+		return nil, fmt.Errorf("netsim: %q: %w", addr, transport.ErrUnknownAddress)
+	}
 	client, server := newPair(n, localHost, addr)
 	select {
 	case l.backlog <- server:
@@ -207,6 +215,7 @@ type listener struct {
 	net     *Net
 	addr    string
 	backlog chan *conn
+	// closeMu orders Close against DialFrom's backlog send.
 	closeMu sync.Mutex
 	closed  bool
 }

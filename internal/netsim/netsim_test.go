@@ -249,6 +249,39 @@ func TestListenerCloseUnblocksAcceptAndFreesAddr(t *testing.T) {
 	}
 }
 
+// TestDialRacesListenerClose dials a listener from several goroutines
+// while it closes: each dial must either connect or fail with
+// ErrUnknownAddress — never send on the closed backlog (a panic, and a
+// data race under -race).
+func TestDialRacesListenerClose(t *testing.T) {
+	n := New(1)
+	for round := 0; round < 200; round++ {
+		l, err := n.Listen("a:1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for d := 0; d < 4; d++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 4; i++ {
+					c, err := n.Dial("a:1")
+					if err != nil {
+						if !errors.Is(err, transport.ErrUnknownAddress) {
+							t.Errorf("Dial = %v", err)
+						}
+						continue
+					}
+					c.Close()
+				}
+			}()
+		}
+		l.Close()
+		wg.Wait()
+	}
+}
+
 func TestDefaultLinkApplies(t *testing.T) {
 	n := New(3)
 	n.SetDefaultLink(LinkConfig{Delay: 20 * time.Millisecond})

@@ -1,9 +1,10 @@
-// Binary wire framing (wire version 1). The handshake always speaks
+// Binary wire framing (wire version 2). The handshake always speaks
 // JSON; a client that sets HelloBody.WireVersion and gets it echoed in
 // the welcome switches the rest of its session to these frames. A
 // binary-negotiated endpoint still accepts JSON frames — the first byte
-// discriminates (binMagic vs '{'), so retained log bytes, WAL records
-// and replica stores can mix formats freely and DecodeAny reads either.
+// discriminates (binMagic vs '{') and DecodeAny reads either. Inside
+// the fleet there is only this framing: retained log bytes, replica
+// stores, WAL records and TForward envelopes are all binary frames.
 //
 // Frame layout (the outer transport already delimits the frame, so no
 // inner length prefix is needed; all lengths are uvarints that the
@@ -13,7 +14,6 @@
 //	          self-describing)
 //	byte 1    flags: bit0 = body is natively encoded (vs embedded JSON),
 //	          bit1 = Message.State, bit2 = trace context present
-//	          (wire version 2)
 //	byte 2    type code: index into AllTypes (append-only — codes are
 //	          wire-significant)
 //	uvarint   Seq, GSeq, CSeq (three uvarints)
@@ -22,8 +22,7 @@
 //	lp-string From, To, Group (uvarint length + bytes each)
 //	trace     only when bit2 is set: uvarint TraceID, uvarint
 //	          TraceParent, 1 byte TraceFlags — the causal trace context
-//	          of wire version 2; senders set bit2 only on sessions that
-//	          negotiated version ≥ 2
+//	          of wire version 2
 //	rest      body: native binary for the hot event types when bit0 is
 //	          set, the body's JSON otherwise; empty = no body
 //
@@ -83,15 +82,12 @@ var encScratch = sync.Pool{
 	New: func() any { b := make([]byte, 0, 512); return &b },
 }
 
-// EncodeBinary serializes a message as one binary frame. It counts
-// against EncodeCount like Encode: the encode-once benchmarks gate the
-// sum of both formats.
+// EncodeBinary serializes a message as one binary frame.
 func EncodeBinary(m Message) ([]byte, error) {
 	code, ok := typeCodes[m.Type]
 	if !ok {
 		return nil, fmt.Errorf("protocol: encode: unknown type %q", m.Type)
 	}
-	encodes.Add(1)
 	bp := encScratch.Get().(*[]byte)
 	b := (*bp)[:0]
 	var flags byte
@@ -223,11 +219,10 @@ func appendLPString(b []byte, s string) []byte {
 
 // DecodeAny dispatches on the first byte: binary frames to
 // DecodeBinary, everything else to the JSON Decode. This is the decoder
-// every binary-negotiated endpoint (and every reader of retained log,
-// WAL or replica bytes) uses, since stored bytes may predate — or
-// outlive — a format switch.
+// for any frame whose sender may speak either framing: client sessions,
+// peer links, and the router's upstreams.
 func DecodeAny(data []byte) (Message, error) {
-	if len(data) > 0 && data[0] == binMagic {
+	if IsBinaryFrame(data) {
 		return DecodeBinary(data)
 	}
 	return Decode(data)
@@ -238,21 +233,13 @@ func IsBinaryFrame(data []byte) bool {
 	return len(data) > 0 && data[0] == binMagic
 }
 
-// FrameHasTrace reports whether a binary frame carries the wire-v2
-// trace extension. JSON frames report false — peeking their trace
-// fields would need a full decode, and the callers (fan-out sharing,
-// enqueue stamping) only ever need the cheap binary check.
-func FrameHasTrace(data []byte) bool {
-	return len(data) > 1 && data[0] == binMagic && data[1]&flagTrace != 0
-}
-
 // FrameTrace peeks a binary frame's trace context without decoding the
 // body: the envelope fields ahead of the extension are skipped with the
 // same bounds-checked reader DecodeBinary uses, and nothing allocates.
 // Frames without the extension — including every JSON frame — return
 // the zero context, so the untraced fast path is two byte reads.
 func FrameTrace(data []byte) (id, parent uint64, flags uint8) {
-	if !FrameHasTrace(data) {
+	if len(data) < 3 || data[0] != binMagic || data[1]&flagTrace == 0 {
 		return 0, 0, 0
 	}
 	r := &frameReader{data: data, off: 3}
@@ -284,29 +271,6 @@ func FrameTrace(data []byte) (id, parent uint64, flags uint8) {
 		return 0, 0, 0
 	}
 	return id, parent, fl
-}
-
-// StripTrace re-encodes a binary frame without its trace extension —
-// what the fan-out path hands a session that negotiated wire version 1,
-// whose frame layout predates flagTrace (the extension would shift its
-// body parse). Frames without the extension pass through untouched, so
-// the untraced path pays two byte reads and no allocation. A frame that
-// fails to decode also passes through: the session's own decoder
-// surfaces the error instead of this path eating the event.
-func StripTrace(wire []byte) []byte {
-	if !FrameHasTrace(wire) {
-		return wire
-	}
-	m, err := DecodeBinary(wire)
-	if err != nil {
-		return wire
-	}
-	m.TraceID, m.TraceParent, m.TraceFlags = 0, 0, 0
-	out, err := EncodeBinary(m)
-	if err != nil {
-		return wire
-	}
-	return out
 }
 
 // frameReader walks a frame with bounds-checked reads: every length is

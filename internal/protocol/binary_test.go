@@ -244,21 +244,6 @@ func TestBinaryMalformed(t *testing.T) {
 	}
 }
 
-// TestEncodeBinaryCountsEncodes pins the encode-once accounting: both
-// formats bump the same counter the benchmarks gate.
-func TestEncodeBinaryCountsEncodes(t *testing.T) {
-	before := EncodeCount()
-	if _, err := EncodeBinary(MustNew(TChat, ChatBody{Text: "x"})); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Encode(MustNew(TChat, ChatBody{Text: "x"})); err != nil {
-		t.Fatal(err)
-	}
-	if got := EncodeCount() - before; got != 2 {
-		t.Fatalf("EncodeCount delta = %d, want 2", got)
-	}
-}
-
 // TestDecodeAnyDispatch checks the one-byte format sniff both ways.
 func TestDecodeAnyDispatch(t *testing.T) {
 	msg := MustNew(TChat, ChatBody{Text: "x"})

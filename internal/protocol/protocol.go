@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -271,10 +270,8 @@ type Message struct {
 	// whenever TraceID is zero, so an untraced message is byte-for-byte
 	// what a pre-trace peer would have produced. On the JSON framing the
 	// fields ride freely (JSON decoders ignore unknown fields, so every
-	// older peer tolerates them); on the binary framing the flagTrace
-	// extension shifts the body, so a sender must clear the fields
-	// before encoding a binary frame for a session that negotiated
-	// WireVersion < 2.
+	// older peer tolerates them); on the binary framing they ride the
+	// flagTrace extension.
 	TraceID     uint64 `json:"trace_id,omitempty"`
 	TraceParent uint64 `json:"trace_parent,omitempty"`
 	TraceFlags  uint8  `json:"trace_flags,omitempty"`
@@ -306,12 +303,11 @@ type HelloBody struct {
 	Classes []string `json:"classes,omitempty"`
 	// WireVersion asks to speak a newer wire framing after the
 	// handshake: 0 (or absent — every pre-binary client) keeps the
-	// session on JSON, 1 requests the binary framing of binary.go, 2
-	// requests binary plus the trace-context frame extension (a sender
-	// may stamp TraceID/TraceParent/TraceFlags onto its frames). The
-	// server echoes the version it accepted in WelcomeBody.WireVersion
-	// — never higher than asked — and both sides switch only after the
-	// welcome; the handshake itself is always JSON.
+	// session on JSON, 2 requests the binary framing of binary.go with
+	// its trace-context frame extension. The server echoes the version
+	// it accepted in WelcomeBody.WireVersion — 2 for an ask of 2 or
+	// more, 0 otherwise — and both sides switch only after the welcome;
+	// the handshake itself is always JSON.
 	WireVersion int `json:"wire_version,omitempty"`
 }
 
@@ -333,9 +329,8 @@ type WelcomeBody struct {
 	Token string `json:"token,omitempty"`
 	// WireVersion is the wire framing the server accepted for the rest
 	// of the session: 0 = JSON (also what a pre-binary server, which
-	// never sets the field, answers), 1 = binary, 2 = binary with the
-	// trace-context extension. Never higher than the version the hello
-	// asked for.
+	// never sets the field, answers), 2 = binary with the trace-context
+	// extension. Never higher than the version the hello asked for.
 	WireVersion int `json:"wire_version,omitempty"`
 }
 
@@ -674,36 +669,14 @@ const (
 )
 
 // ReplicaEventBody is one retained log event riding a takeover package:
-// the stamped wire bytes plus the sequence coordinates needed to
-// re-install them with AppendRaw, preserving GSeq/CSeq exactly. The
-// wire bytes ride one of two fields — Wire embeds a JSON frame
-// directly, WireB carries a binary frame base64-encoded (binary bytes
-// are not valid JSON) — so peers on either side of the format switch
-// parse the envelope; use SetWire/WireBytes, which route by format.
+// the stamped binary wire bytes plus the sequence coordinates needed to
+// re-install them with AppendRaw, preserving GSeq/CSeq exactly.
 type ReplicaEventBody struct {
-	GSeq  int64           `json:"gseq"`
-	CSeq  int64           `json:"cseq"`
-	Class string          `json:"class,omitempty"`
-	State bool            `json:"state,omitempty"`
-	Wire  json.RawMessage `json:"wire,omitempty"`
-	WireB []byte          `json:"wire_b,omitempty"`
-}
-
-// SetWire stores stamped wire bytes in the field matching their format.
-func (b *ReplicaEventBody) SetWire(wire []byte) {
-	if IsBinaryFrame(wire) {
-		b.Wire, b.WireB = nil, wire
-	} else {
-		b.Wire, b.WireB = wire, nil
-	}
-}
-
-// WireBytes returns the stamped wire bytes, whichever field carried them.
-func (b *ReplicaEventBody) WireBytes() []byte {
-	if len(b.WireB) > 0 {
-		return b.WireB
-	}
-	return b.Wire
+	GSeq  int64  `json:"gseq"`
+	CSeq  int64  `json:"cseq"`
+	Class string `json:"class,omitempty"`
+	State bool   `json:"state,omitempty"`
+	Wire  []byte `json:"wire,omitempty"`
 }
 
 // TakeoverBody is a complete partition package shipped by an
@@ -742,11 +715,8 @@ type ForwardBody struct {
 	Chair   string            `json:"chair,omitempty"`
 	Members []NodeMemberInfo  `json:"members,omitempty"`
 	Floor   *FloorReplicaBody `json:"floor,omitempty"`
-	// Msg embeds a JSON inner frame; MsgB carries a binary one
-	// base64-encoded (binary bytes are not valid JSON inside the
-	// TForward envelope). Use SetMsg/WireMsg, which route by format.
-	Msg  json.RawMessage `json:"msg,omitempty"`
-	MsgB []byte          `json:"msg_b,omitempty"`
+	// Msg carries the inner binary frame (base64 in the JSON body).
+	Msg []byte `json:"msg,omitempty"`
 	// ID identifies an acked replication forward (per-sender monotonic,
 	// 0 = unacked fire-and-forget); From is the sender's peer address the
 	// ack is sent back to.
@@ -765,23 +735,6 @@ type ForwardBody struct {
 	Groups []string `json:"groups,omitempty"`
 	// Takeover is the partition package of a ForwardTakeover.
 	Takeover *TakeoverBody `json:"takeover,omitempty"`
-}
-
-// SetMsg stores inner wire bytes in the field matching their format.
-func (b *ForwardBody) SetMsg(wire []byte) {
-	if IsBinaryFrame(wire) {
-		b.Msg, b.MsgB = nil, wire
-	} else {
-		b.Msg, b.MsgB = wire, nil
-	}
-}
-
-// WireMsg returns the inner wire bytes, whichever field carried them.
-func (b *ForwardBody) WireMsg() []byte {
-	if len(b.MsgB) > 0 {
-		return b.MsgB
-	}
-	return b.Msg
 }
 
 // NodeMovedBody names the groups whose partition moved to another node.
@@ -861,20 +814,11 @@ func MustNew(t Type, body any) Message {
 	return m
 }
 
-// encodes counts Encode calls process-wide; the broadcast benchmarks read
-// it to prove the encode-once fan-out invariant (one Encode per broadcast
-// regardless of group size).
-var encodes atomic.Int64
-
-// EncodeCount returns the number of Encode calls since process start.
-func EncodeCount() int64 { return encodes.Load() }
-
 // Encode serializes a message as JSON. A message decoded from a binary
 // frame with a natively-encoded body has its JSON body materialized
 // here — the binary→JSON transcode a mixed-format deployment needs when
 // replaying stored binary frames to a JSON-negotiated session.
 func Encode(m Message) ([]byte, error) {
-	encodes.Add(1)
 	if len(m.Body) == 0 && m.bodyBin != nil {
 		raw, err := jsonBody(m.Type, m.bodyBin)
 		if err != nil {

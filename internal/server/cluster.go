@@ -406,7 +406,7 @@ func (s *Server) replicateTraced(fwd protocol.ForwardBody, tid uint64, tflags ui
 	}
 	fwd.ID = s.cluster.acks.NextID()
 	fwd.From = s.cluster.selfAddr()
-	wire := cluster.WrapForwardTrace(fwd, tid, tflags)
+	wire := cluster.EncodeForward(fwd, tid, tflags)
 	if wire == nil {
 		return
 	}
@@ -438,9 +438,9 @@ func (s *Server) resendOverdue(now time.Time) {
 // group logs, which is what lets a resume survive home-node death. It
 // runs inside the log append's deliver callback — the pool enqueue
 // never blocks — so the replica stream observes exactly the log's
-// order. The envelope is built with cluster.WrapForward (plain
-// json.Marshal, reusing the already-encoded event bytes), keeping the
-// encode-once invariant of the per-recipient hot path intact.
+// order. The envelope (cluster.EncodeForward) carries the
+// already-encoded event bytes verbatim, so replication adds no
+// delivery-path encode.
 func (s *Server) replicateLogged(key, class string, wire []byte) {
 	if s.cluster == nil {
 		return
@@ -452,8 +452,7 @@ func (s *Server) replicateLogged(key, class string, wire []byte) {
 	} else if !s.servesGroupFast(key) {
 		return
 	}
-	fwd := protocol.ForwardBody{Kind: protocol.ForwardReplica, Group: key}
-	fwd.SetMsg(wire)
+	fwd := protocol.ForwardBody{Kind: protocol.ForwardReplica, Group: key, Msg: wire}
 	if class == protocol.ClassFloor || class == protocol.ClassSuspend {
 		mode, holder, queue, suspended, pinned := s.floorCtl.StateSnapshot(key)
 		blob := &protocol.FloorReplicaBody{
@@ -480,7 +479,14 @@ func (s *Server) replicateLogged(key, class string, wire []byte) {
 // chair after a membership change: journaled to the WAL (when on), and
 // shipped to the replica peers so a takeover can restore who belongs
 // where. The replication half is a no-op outside cluster mode.
+//
+// Each write is a full roster snapshot that replaces the previous one,
+// so the snapshot and its writes happen under rosterMu: two concurrent
+// membership changes then journal and ship their rosters in the order
+// they read them, and the last roster written is the latest one.
 func (s *Server) replicateMembers(groupID string) {
+	s.rosterMu.Lock()
+	defer s.rosterMu.Unlock()
 	s.walGroupState(groupID)
 	if s.cluster == nil {
 		return
@@ -540,9 +546,8 @@ func (s *Server) deliverMemberEvent(id group.MemberID, msg protocol.Message) {
 	if err != nil {
 		return
 	}
-	fwd := protocol.ForwardBody{Kind: protocol.ForwardInvite, To: string(id)}
-	fwd.SetMsg(wire)
-	s.cluster.pool.Send(s.ownerAddr(cluster.HomeKey(string(id))), cluster.WrapForward(fwd))
+	fwd := protocol.ForwardBody{Kind: protocol.ForwardInvite, To: string(id), Msg: wire}
+	s.cluster.pool.Send(s.ownerAddr(cluster.HomeKey(string(id))), cluster.EncodeForward(fwd, 0, 0))
 }
 
 // peerLoop serves one inter-node link: a connection whose first message
@@ -560,7 +565,7 @@ func (s *Server) peerLoop(conn transport.Conn, first protocol.Message) {
 		if err != nil {
 			return
 		}
-		msg, err := protocol.Decode(wire)
+		msg, err := protocol.DecodeAny(wire)
 		if err != nil || msg.Type != protocol.TForward {
 			continue
 		}
@@ -575,9 +580,9 @@ func (s *Server) ackForward(body protocol.ForwardBody) {
 	if body.ID == 0 || body.From == "" {
 		return
 	}
-	s.cluster.pool.Send(body.From, cluster.WrapForward(protocol.ForwardBody{
+	s.cluster.pool.Send(body.From, cluster.EncodeForward(protocol.ForwardBody{
 		Kind: protocol.ForwardAck, ID: body.ID, From: s.cluster.selfAddr(),
-	}))
+	}, 0, 0))
 }
 
 // handleForward applies one typed node-to-node forward. conn is the
@@ -593,7 +598,7 @@ func (s *Server) handleForward(conn transport.Conn, msg protocol.Message) {
 	}
 	switch body.Kind {
 	case protocol.ForwardReplica:
-		if body.Group != "" && len(body.WireMsg()) > 0 {
+		if body.Group != "" && len(body.Msg) > 0 {
 			// A sampled replication forward records the replica's own
 			// apply+ack span — the third process of an owner-routed op.
 			var t0 time.Time
@@ -601,7 +606,7 @@ func (s *Server) handleForward(conn transport.Conn, msg protocol.Message) {
 			if sampled {
 				t0 = time.Now()
 			}
-			s.cluster.store.ApplyEvent(body.Group, body.WireMsg(), body.Floor)
+			s.cluster.store.ApplyEvent(body.Group, body.Msg, body.Floor)
 			s.ackForward(body)
 			if sampled {
 				s.plane.Span(msg.TraceID, msg.TraceParent, trace.StageReplAck, t0)
@@ -635,17 +640,17 @@ func (s *Server) handleForward(conn transport.Conn, msg protocol.Message) {
 		// connection precedes it (in-order transport), so acking here
 		// certifies the packages are installed.
 		if body.ID != 0 {
-			_ = conn.Send(cluster.WrapForward(protocol.ForwardBody{
+			_ = conn.Send(cluster.EncodeForward(protocol.ForwardBody{
 				Kind: protocol.ForwardAck, ID: body.ID, From: s.cluster.selfAddr(),
-			}))
+			}, 0, 0))
 		}
 	case protocol.ForwardMigrate:
 		s.runMigration(conn, body)
 	case protocol.ForwardInvite:
-		if body.To == "" || len(body.WireMsg()) == 0 {
+		if body.To == "" || len(body.Msg) == 0 {
 			return
 		}
-		inner, err := protocol.DecodeAny(body.WireMsg())
+		inner, err := protocol.DecodeBinary(body.Msg)
 		if err != nil {
 			return
 		}

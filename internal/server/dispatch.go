@@ -93,11 +93,15 @@ func (s *Server) onJoin(sess *session, msg protocol.Message) {
 		s.replyErr(sess, msg.Seq, "join", err)
 		return
 	}
-	s.replyAck(sess, msg.Seq, protocol.GroupBody{Group: body.Group})
-	s.replicateMembers(body.Group)
 	// One snapshot converges the late joiner: board history, floor
 	// state, suspensions, and the log position live events continue from.
+	// It goes out before the ack — a reply follows every event its
+	// request caused — so Join cannot return with it still in flight.
+	// The lights push is a status broadcast to every session, not part
+	// of the reply, and follows it.
 	s.sendSnapshot(sess, body.Group, 0)
+	s.replyAck(sess, msg.Seq, protocol.GroupBody{Group: body.Group})
+	s.replicateMembers(body.Group)
 	s.broadcastLights()
 }
 
@@ -162,7 +166,6 @@ func (s *Server) onFloorRequest(sess *session, msg protocol.Message) {
 		// and log the queueing — the queue is group state, so the event
 		// broadcasts (and is backfillable) like any other transition.
 		if errors.Is(err, floor.ErrBusy) {
-			s.replyAck(sess, msg.Seq, decision)
 			s.notifySuspensions(msg.Group, dec, tc)
 			// The broadcast form is redacted (queue length only); the
 			// requester's copy is personalized with their slot.
@@ -172,9 +175,9 @@ func (s *Server) onFloorRequest(sess *session, msg protocol.Message) {
 				Member: string(sess.member.ID),
 				Event:  "queued",
 			}, tc)
+			s.replyAck(sess, msg.Seq, decision)
 			return
 		}
-		s.replyErr(sess, msg.Seq, "floor_denied", err)
 		// A denied request can still have Media-Suspended someone in the
 		// degraded regime — the victim must hear about it here too.
 		s.notifySuspensions(msg.Group, dec, tc)
@@ -193,9 +196,9 @@ func (s *Server) onFloorRequest(sess *session, msg protocol.Message) {
 		})
 		denied.Group = msg.Group
 		s.sendReliable(sess, denied)
+		s.replyErr(sess, msg.Seq, "floor_denied", err)
 		return
 	}
-	s.replyAck(sess, msg.Seq, decision)
 	s.notifySuspensions(msg.Group, dec, tc)
 	s.logFloorEvent(msg.Group, protocol.FloorEventBody{
 		Mode:   mode.String(),
@@ -203,6 +206,7 @@ func (s *Server) onFloorRequest(sess *session, msg protocol.Message) {
 		Member: string(sess.member.ID),
 		Event:  "granted",
 	}, tc)
+	s.replyAck(sess, msg.Seq, decision)
 	// A grant can dequeue the requester (e.g. an approved member
 	// re-requesting a moderated floor), shifting everyone behind them.
 	s.markQueueRestate(msg.Group, mode)
@@ -258,13 +262,13 @@ func (s *Server) onModeSwitch(sess *session, msg protocol.Message) {
 		Member: string(sess.member.ID),
 		Event:  "mode_switch",
 	}
-	s.replyAck(sess, msg.Seq, note)
 	// A same-mode call only updates the pin: nothing about the floor
 	// changed, so broadcasting would make every client wrongly clear its
 	// cached holder and queue position.
 	if changed {
 		s.logFloorEvent(msg.Group, note, traceOf(msg))
 	}
+	s.replyAck(sess, msg.Seq, note)
 }
 
 // onFloorApprove clears a queued request in a moderated mode: the chair
@@ -282,7 +286,6 @@ func (s *Server) onFloorApprove(sess *session, msg protocol.Message) {
 		s.replyErr(sess, msg.Seq, "approve", err)
 		return
 	}
-	s.replyAck(sess, msg.Seq, decisionBody(dec))
 	event := "approved"
 	if dec.Granted {
 		event = "granted"
@@ -293,6 +296,7 @@ func (s *Server) onFloorApprove(sess *session, msg protocol.Message) {
 		Member: string(member),
 		Event:  event,
 	}, traceOf(msg))
+	s.replyAck(sess, msg.Seq, decisionBody(dec))
 	s.markQueueRestate(msg.Group, dec.Mode)
 }
 
@@ -312,7 +316,6 @@ func (s *Server) onFloorRelease(sess *session, msg protocol.Message) {
 		s.replyErr(sess, msg.Seq, "release", err)
 		return
 	}
-	s.replyAck(sess, msg.Seq, protocol.FloorEventBody{Holder: string(next), Event: "released"})
 	mode := s.floorCtl.ModeOf(msg.Group)
 	s.logFloorEvent(msg.Group, protocol.FloorEventBody{
 		Mode:   mode.String(),
@@ -320,6 +323,7 @@ func (s *Server) onFloorRelease(sess *session, msg protocol.Message) {
 		Member: string(sess.member.ID),
 		Event:  "released",
 	}, traceOf(msg))
+	s.replyAck(sess, msg.Seq, protocol.FloorEventBody{Holder: string(next), Event: "released"})
 	s.markQueueRestate(msg.Group, mode)
 }
 
@@ -333,7 +337,6 @@ func (s *Server) onTokenPass(sess *session, msg protocol.Message) {
 		s.replyErr(sess, msg.Seq, "pass", err)
 		return
 	}
-	s.replyAck(sess, msg.Seq, protocol.FloorEventBody{Holder: body.To, Event: "passed"})
 	mode := s.floorCtl.ModeOf(msg.Group)
 	s.logFloorEvent(msg.Group, protocol.FloorEventBody{
 		Mode:   mode.String(),
@@ -341,6 +344,7 @@ func (s *Server) onTokenPass(sess *session, msg protocol.Message) {
 		Member: string(sess.member.ID),
 		Event:  "passed",
 	}, traceOf(msg))
+	s.replyAck(sess, msg.Seq, protocol.FloorEventBody{Holder: body.To, Event: "passed"})
 	s.markQueueRestate(msg.Group, mode)
 }
 
@@ -388,15 +392,16 @@ func (s *Server) onInviteReply(sess *session, msg protocol.Message) {
 		s.replyErr(sess, msg.Seq, "invite_reply", err)
 		return
 	}
-	s.replyAck(sess, msg.Seq, protocol.InviteEventBody{InviteID: inv.ID, Group: inv.Group, From: string(inv.From)})
-	// Tell the inviter the outcome.
 	outcome := "declined"
 	if inv.Status == group.Accepted {
 		outcome = "accepted"
 		s.replicateMembers(inv.Group)
-		// One snapshot converges the new member on the sub-group.
+		// One snapshot converges the new member on the sub-group; like
+		// a join's, it precedes the ack.
 		s.sendSnapshot(sess, inv.Group, 0)
 	}
+	s.replyAck(sess, msg.Seq, protocol.InviteEventBody{InviteID: inv.ID, Group: inv.Group, From: string(inv.From)})
+	// Tell the inviter the outcome.
 	note := protocol.MustNew(protocol.TFloorEvent, protocol.FloorEventBody{
 		Member: string(inv.To),
 		Event:  "invite_" + outcome,
@@ -539,10 +544,10 @@ func (s *Server) onPresent(sess *session, msg protocol.Message) {
 		s.replyErr(sess, msg.Seq, "bad_body", err)
 		return
 	}
-	s.replyAck(sess, msg.Seq, body)
 	event := protocol.MustNew(protocol.TPresent, body)
 	event.Group = msg.Group
 	s.broadcastGroup(msg.Group, event)
+	s.replyAck(sess, msg.Seq, body)
 }
 
 // onMediaUnit relays a streamed media unit to the group, gated by the

@@ -38,6 +38,7 @@ import (
 //	dmps_wire_bytes_total{dir}           client wire payload bytes, in/out
 //	dmps_wire_flushes_total              session writer flushes
 //	dmps_wire_msgs_per_flush             mean messages per writer flush
+//	dmps_encodes_total                   delivery-path encodes
 //	dmps_stage_seconds{stage}            per-stage latency of sampled ops
 //	dmps_trace_spans_total               spans recorded by the trace plane
 //	dmps_traces_total                    traces assembled by the sweeper
@@ -144,6 +145,9 @@ func (s *Server) RegisterMetrics(reg *metrics.Registry) {
 			return one(0)
 		}
 		return one(float64(s.wireMsgsOut.Load()) / float64(flushes))
+	})
+	reg.CounterFunc("dmps_encodes_total", "Delivery-path encodes: canonical, per-session and JSON transcode.", func() []metrics.Sample {
+		return one(float64(s.Encodes()))
 	})
 	if s.wal != nil {
 		reg.GaugeFunc("dmps_wal_segments", "Live write-ahead log segments.", func() []metrics.Sample {

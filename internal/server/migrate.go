@@ -25,32 +25,15 @@ import (
 	"dmps/internal/transport"
 )
 
-// replicaEventsToWire converts retained replica events to their wire
-// (takeover-package) form.
-func replicaEventsToWire(events []cluster.ReplicaEvent) []protocol.ReplicaEventBody {
-	out := make([]protocol.ReplicaEventBody, 0, len(events))
-	for _, e := range events {
-		eb := protocol.ReplicaEventBody{GSeq: e.GSeq, CSeq: e.CSeq, Class: e.Class, State: e.State}
-		eb.SetWire(e.Wire)
-		out = append(out, eb)
-	}
-	return out
-}
-
-// wireEventsToReplica converts takeover-package events back to replica
-// form, reporting the highest GSeq alongside.
-func wireEventsToReplica(events []protocol.ReplicaEventBody) ([]cluster.ReplicaEvent, int64) {
-	out := make([]cluster.ReplicaEvent, 0, len(events))
+// eventsHead reports the highest GSeq among takeover-package events.
+func eventsHead(events []protocol.ReplicaEventBody) int64 {
 	var head int64
 	for _, e := range events {
-		out = append(out, cluster.ReplicaEvent{
-			GSeq: e.GSeq, CSeq: e.CSeq, Class: e.Class, State: e.State, Wire: e.WireBytes(),
-		})
 		if e.GSeq > head {
 			head = e.GSeq
 		}
 	}
-	return out, head
+	return head
 }
 
 // takeoverFromReplica builds a takeover package from a stored replica.
@@ -58,7 +41,7 @@ func takeoverFromReplica(key string, epoch int64, rep cluster.GroupReplica) prot
 	tb := protocol.TakeoverBody{
 		Key: key, Epoch: epoch, Chair: rep.Chair, Members: rep.Members,
 		Floor: rep.Floor, BoardHead: rep.BoardHead,
-		Events: replicaEventsToWire(rep.Events),
+		Events: rep.Events,
 	}
 	return tb
 }
@@ -87,9 +70,9 @@ func (s *Server) liveGroupTakeover(gid string, epoch int64) protocol.TakeoverBod
 	tb.Floor = blob
 	if lg, ok := s.logs.Peek(gid); ok {
 		for _, e := range lg.Dump() {
-			eb := protocol.ReplicaEventBody{GSeq: e.GSeq, CSeq: e.CSeq, Class: e.Class, State: e.State}
-			eb.SetWire(e.Wire)
-			tb.Events = append(tb.Events, eb)
+			tb.Events = append(tb.Events, protocol.ReplicaEventBody{
+				GSeq: e.GSeq, CSeq: e.CSeq, Class: e.Class, State: e.State, Wire: e.Wire,
+			})
 		}
 	}
 	gb := s.board(gid)
@@ -111,9 +94,9 @@ func (s *Server) liveMemberTakeover(id string, epoch int64) protocol.TakeoverBod
 	s.mu.Unlock()
 	if lg, ok := s.logs.Peek(grouplog.MemberKey(id)); ok {
 		for _, e := range lg.Dump() {
-			eb := protocol.ReplicaEventBody{GSeq: e.GSeq, CSeq: e.CSeq, Class: e.Class, State: e.State}
-			eb.SetWire(e.Wire)
-			tb.Events = append(tb.Events, eb)
+			tb.Events = append(tb.Events, protocol.ReplicaEventBody{
+				GSeq: e.GSeq, CSeq: e.CSeq, Class: e.Class, State: e.State, Wire: e.Wire,
+			})
 		}
 	}
 	return tb
@@ -128,9 +111,9 @@ func (s *Server) liveMemberTakeover(id string, epoch int64) protocol.TakeoverBod
 // the inbound connection.
 func (s *Server) runMigration(conn transport.Conn, body protocol.ForwardBody) {
 	reply := func(groups []string) {
-		_ = conn.Send(cluster.WrapForward(protocol.ForwardBody{
+		_ = conn.Send(cluster.EncodeForward(protocol.ForwardBody{
 			Kind: protocol.ForwardMigrated, Groups: groups, Epoch: body.Epoch,
-		}))
+		}, 0, 0))
 	}
 	if body.Addr == "" {
 		reply(nil)
@@ -220,9 +203,9 @@ func (s *Server) runMigration(conn transport.Conn, body protocol.ForwardBody) {
 	shipped := make([]string, 0, len(packages))
 	for i := range packages {
 		tb := packages[i]
-		if err := ship.Send(cluster.WrapForward(protocol.ForwardBody{
+		if err := ship.Send(cluster.EncodeForward(protocol.ForwardBody{
 			Kind: protocol.ForwardTakeover, Takeover: &tb,
-		})); err != nil {
+		}, 0, 0)); err != nil {
 			unfreeze()
 			reply(nil)
 			return
@@ -232,9 +215,9 @@ func (s *Server) runMigration(conn transport.Conn, body protocol.ForwardBody) {
 	// Barrier: the receiver acks this marker only after processing every
 	// package that preceded it on this in-order connection.
 	barrierID := s.cluster.acks.NextID()
-	if err := ship.Send(cluster.WrapForward(protocol.ForwardBody{
+	if err := ship.Send(cluster.EncodeForward(protocol.ForwardBody{
 		Kind: protocol.ForwardMigrated, ID: barrierID, From: s.cluster.selfAddr(), Groups: shipped,
-	})); err != nil {
+	}, 0, 0)); err != nil {
 		unfreeze()
 		reply(nil)
 		return
@@ -246,7 +229,7 @@ func (s *Server) runMigration(conn transport.Conn, body protocol.ForwardBody) {
 			reply(nil)
 			return
 		}
-		msg, err := protocol.Decode(wire)
+		msg, err := protocol.DecodeAny(wire)
 		if err != nil || msg.Type != protocol.TForward {
 			continue
 		}
@@ -292,8 +275,7 @@ func (s *Server) installTakeover(tb protocol.TakeoverBody) {
 				s.cluster.store.ApplyMemberHome(*tb.Member, tb.Token)
 			}
 			if len(tb.Events) > 0 {
-				events, head := wireEventsToReplica(tb.Events)
-				s.cluster.store.Install(tb.Key, cluster.GroupReplica{Events: events, Head: head})
+				s.cluster.store.Install(tb.Key, cluster.GroupReplica{Events: tb.Events, Head: eventsHead(tb.Events)})
 			}
 			return
 		}
@@ -310,15 +292,14 @@ func (s *Server) installTakeover(tb protocol.TakeoverBody) {
 		}
 		lg := s.logs.Get(tb.Key)
 		for _, e := range tb.Events {
-			lg.AppendRaw(e.GSeq, e.CSeq, e.Class, e.State, e.WireBytes())
-			s.walEvent(tb.Key, e.GSeq, e.CSeq, e.Class, e.State, e.WireBytes())
+			lg.AppendRaw(e.GSeq, e.CSeq, e.Class, e.State, e.Wire)
+			s.walEvent(tb.Key, e.GSeq, e.CSeq, e.Class, e.State, e.Wire)
 		}
 		return
 	}
-	events, head := wireEventsToReplica(tb.Events)
 	rep := cluster.GroupReplica{
 		Chair: tb.Chair, Members: tb.Members, Floor: tb.Floor,
-		Events: events, Head: head, BoardHead: tb.BoardHead,
+		Events: tb.Events, Head: eventsHead(tb.Events), BoardHead: tb.BoardHead,
 	}
 	if s.cluster.topo.Primary(tb.Key) != s.cluster.cfg.Self {
 		s.cluster.store.Install(tb.Key, rep)

@@ -153,12 +153,6 @@ type Config struct {
 	// (default 30s). Checkpoints bound replay time and disk; between
 	// them the journal only grows.
 	WALCheckpointInterval time.Duration
-	// WireJSON disables binary wire negotiation: every session stays on
-	// the JSON framing regardless of what its hello asks for, and
-	// retained log bytes are encoded as JSON. The escape hatch for
-	// debugging with wire captures; off (binary negotiated when
-	// requested) is the default.
-	WireJSON bool
 	// Cluster, when set, runs this server as one group-partition node of
 	// a multi-process cluster: it serves only the partitions the shared
 	// map assigns to it (rejecting the rest with a node_moved redirect),
@@ -202,6 +196,9 @@ type Server struct {
 	// is re-bound to the same member identity without re-joining groups.
 	tokens  map[string]group.MemberID
 	tokenOf map[group.MemberID]string
+	// rosterMu orders roster snapshots with the journal and replication
+	// writes that carry them (see replicateMembers).
+	rosterMu sync.Mutex
 
 	// coalesce state: groups whose pending floor queue shifted since the
 	// last flush, restated once per CoalesceInterval tick.
@@ -226,6 +223,9 @@ type Server struct {
 	wireOut     atomic.Int64
 	wireFlushes atomic.Int64
 	wireMsgsOut atomic.Int64
+	// encodes counts delivery-path encodes (see encode); the
+	// encode-once benchmarks and dmps_encodes_total read it.
+	encodes atomic.Int64
 
 	wg        sync.WaitGroup
 	closed    chan struct{}
@@ -245,13 +245,12 @@ type session struct {
 	// the lights/backpressure tables cover homed sessions only — a node
 	// tracks lights for exactly the members it homes.
 	homed bool
-	// wireVer is the session's negotiated wire framing (0 = JSON, 1 =
-	// binary, 2 = binary with the trace-context frame extension), fixed
-	// by the handshake before the session is installed — read without
-	// locking ever after. Everything sent to the session is encoded (or
-	// transcoded, or trace-stripped) to this version; inbound frames of
-	// either format are accepted regardless.
-	wireVer int
+	// binWire is the session's negotiated wire framing (true = binary
+	// wire version 2, false = JSON), fixed by the handshake before the
+	// session is installed — read without locking ever after.
+	// Everything sent to the session is encoded (or transcoded) to this
+	// framing; inbound frames of either format are accepted regardless.
+	binWire bool
 
 	// queue carries encoded wire messages to the writer goroutine.
 	queue chan queued
@@ -398,64 +397,59 @@ func (s *session) light(now time.Time, timeout time.Duration) Light {
 	return Green
 }
 
-// encodeFor encodes a message in the session's negotiated wire framing.
-// Version-1 sessions predate the trace-context frame extension, so the
-// trace fields are cleared before the encode (msg is a copy); JSON
-// sessions keep them — unknown JSON fields are ignored by any decoder.
-func encodeFor(sess *session, msg protocol.Message) ([]byte, error) {
-	if sess.wireVer == 1 {
-		msg.TraceID, msg.TraceParent, msg.TraceFlags = 0, 0, 0
-	}
-	if sess.wireVer >= 1 {
+// encode serializes a message in one wire framing and counts it. Every
+// delivery-path encode goes through here — canonical (retained or
+// broadcast) frames, per-session frames and JSON transcodes — so
+// Encodes can prove the encode-once fan-out. Peer forward envelopes
+// (cluster.EncodeForward) are per-append, not per-recipient, and are
+// not counted.
+func (s *Server) encode(msg protocol.Message, binWire bool) ([]byte, error) {
+	s.encodes.Add(1)
+	if binWire {
 		return protocol.EncodeBinary(msg)
 	}
 	return protocol.Encode(msg)
 }
 
-// encodeCanonical produces the retained wire form shared by the group
-// log, WAL, and replication stream: binary unless the node is pinned to
-// JSON. Retained bytes are self-describing (DecodeAny reads either
-// framing), so mixed-config clusters interoperate; sessions negotiated
-// to the other framing get a transcode at fan-out via wireFor.
-func (s *Server) encodeCanonical(msg protocol.Message) ([]byte, error) {
-	if s.cfg.WireJSON {
-		return protocol.Encode(msg)
-	}
-	return protocol.EncodeBinary(msg)
+// Encodes reports the delivery-path encodes this server has made since
+// it started (see encode).
+func (s *Server) Encodes() int64 { return s.encodes.Load() }
+
+// encodeFor encodes a message in the session's negotiated wire framing.
+func (s *Server) encodeFor(sess *session, msg protocol.Message) ([]byte, error) {
+	return s.encode(msg, sess.binWire)
 }
 
-// transcodeJSON re-encodes retained binary wire bytes as a JSON frame
-// for a JSON-negotiated session. On a malformed frame the original
-// bytes pass through: the session surfaces a decode error rather than
-// silently losing the event.
-func transcodeJSON(wire []byte) []byte {
-	msg, err := protocol.DecodeAny(wire)
-	if err != nil {
+// encodeCanonical produces the retained wire form shared by the group
+// log, WAL, and replication stream: always a binary frame. JSON
+// sessions get a transcode at fan-out via wireFor.
+func (s *Server) encodeCanonical(msg protocol.Message) ([]byte, error) {
+	return s.encode(msg, true)
+}
+
+// wireFor adapts retained binary wire bytes to the session's negotiated
+// framing: binary sessions take them verbatim, a JSON session gets a
+// transcode. A fan-out passes jsonWire so the transcode is made once
+// and shared by every JSON session (nil means no sharing). On a
+// malformed frame the original bytes pass through: the session surfaces
+// a decode error rather than silently losing the event.
+func (s *Server) wireFor(sess *session, wire []byte, jsonWire *[]byte) []byte {
+	if sess.binWire {
 		return wire
 	}
-	out, err := protocol.Encode(msg)
-	if err != nil {
-		return wire
+	if jsonWire != nil && *jsonWire != nil {
+		return *jsonWire
+	}
+	out := wire
+	if msg, err := protocol.DecodeBinary(wire); err == nil {
+		if js, err := s.encode(msg, false); err == nil {
+			out = js
+		}
+	}
+	if jsonWire != nil {
+		*jsonWire = out
 	}
 	return out
-}
-
-// wireFor adapts retained wire bytes to the session's negotiated
-// framing. Version-2 sessions accept either form verbatim (clients
-// decode both); version-1 sessions additionally get the trace-context
-// extension stripped (a no-op peek unless the frame carries it); only
-// the JSON-session/binary-bytes pairing pays a transcode.
-func wireFor(sess *session, wire []byte) []byte {
-	switch {
-	case sess.wireVer >= 2:
-		return wire
-	case sess.wireVer == 1:
-		return protocol.StripTrace(wire)
-	case protocol.IsBinaryFrame(wire):
-		return transcodeJSON(wire)
-	default:
-		return wire
-	}
 }
 
 // sendMsg encodes a message and queues it for this session alone,
@@ -463,7 +457,7 @@ func wireFor(sess *session, wire []byte) []byte {
 // is nothing to retry). Events shared by many recipients should be
 // encoded once with encodeCanonical and fanned out via sendWire.
 func (s *Server) sendMsg(sess *session, msg protocol.Message) bool {
-	wire, err := encodeFor(sess, msg)
+	wire, err := s.encodeFor(sess, msg)
 	if err != nil {
 		return true
 	}
@@ -479,7 +473,7 @@ func (s *Server) sendMsg(sess *session, msg protocol.Message) bool {
 // must use sendWire instead (blocking on someone else's queue would let
 // one slow consumer stall another member's handler).
 func (s *Server) sendReliable(sess *session, msg protocol.Message) {
-	wire, err := encodeFor(sess, msg)
+	wire, err := s.encodeFor(sess, msg)
 	if err != nil {
 		return
 	}
@@ -860,7 +854,12 @@ func (s *Server) handshake(conn transport.Conn) (*session, protocol.Message, err
 	if err != nil {
 		return nil, protocol.Message{}, err
 	}
-	msg, err := protocol.Decode(wire)
+	msg, err := protocol.DecodeAny(wire)
+	if err == nil && protocol.IsBinaryFrame(wire) && msg.Type != protocol.TForward {
+		// The handshake is JSON; the one binary first frame is a peer
+		// link's forward.
+		err = fmt.Errorf("binary %s frame before the handshake", msg.Type)
+	}
 	if err != nil {
 		return nil, protocol.Message{}, fmt.Errorf("server: handshake: %w (%w)", err, transport.ErrClosed)
 	}
@@ -981,25 +980,21 @@ func (s *Server) handshake(conn transport.Conn) (*session, protocol.Message, err
 		}
 	}
 
-	// The hello's wire_version is a request; the server grants it only
-	// when not pinned to JSON, and never a higher version than asked —
-	// capped at 2, the highest this server speaks (binary frames with
-	// the trace-context extension). A v1 peer keeps the layout it knows:
-	// frames sent to it never carry the extension. Both sides switch
-	// framing strictly after the welcome: the whole handshake is JSON,
-	// so a v0 peer never sees a frame it cannot read.
+	// The hello's wire_version is a request: an ask of 2 or more is
+	// granted 2 (binary frames with the trace-context extension, the
+	// one binary version this server speaks), anything lower stays on
+	// JSON (0). Both sides switch framing strictly after the welcome:
+	// the whole handshake is JSON, so a v0 peer never sees a frame it
+	// cannot read.
 	wireVer := 0
-	if !s.cfg.WireJSON && hello.WireVersion >= 1 {
-		wireVer = hello.WireVersion
-		if wireVer > 2 {
-			wireVer = 2
-		}
+	if hello.WireVersion >= 2 {
+		wireVer = 2
 	}
 	sess := &session{
 		member:   member,
 		conn:     conn,
 		homed:    homed,
-		wireVer:  wireVer,
+		binWire:  wireVer == 2,
 		queue:    make(chan queued, s.cfg.SendQueueCap),
 		down:     make(chan struct{}),
 		lastSeen: s.cfg.Clock.Now(),
@@ -1227,27 +1222,18 @@ func (s *Server) groupTargets(groupID string) []*session {
 func (s *Server) broadcastGroup(groupID string, msg protocol.Message) {
 	var jsonWire, binWire []byte
 	for _, sess := range s.groupTargets(groupID) {
-		var wire []byte
-		if sess.wireVer >= 1 {
-			if binWire == nil {
-				w, err := protocol.EncodeBinary(msg)
-				if err != nil {
-					continue
-				}
-				binWire = w
-			}
-			wire = binWire
-		} else {
-			if jsonWire == nil {
-				w, err := protocol.Encode(msg)
-				if err != nil {
-					continue
-				}
-				jsonWire = w
-			}
-			wire = jsonWire
+		wire := &jsonWire
+		if sess.binWire {
+			wire = &binWire
 		}
-		s.sendWire(sess, wire)
+		if *wire == nil {
+			w, err := s.encodeFor(sess, msg)
+			if err != nil {
+				continue
+			}
+			*wire = w
+		}
+		s.sendWire(sess, *wire)
 	}
 }
 
@@ -1267,33 +1253,17 @@ func stampLogged(msg *protocol.Message, groupID, class string, state bool, gseq,
 // fanOutLogged queues pre-encoded logged-event bytes to every target
 // session whose event-class mask admits the class; masked sessions get
 // nothing — not even a marker — which is exactly why logged events are
-// sequenced per class. When the retained bytes are binary and the group
+// sequenced per class. The retained bytes are binary; when the group
 // mixes in JSON-negotiated sessions, the JSON form is produced once and
 // shared — a uniform group still pays exactly one encode per event.
 func (s *Server) fanOutLogged(targets []*session, class string, wire []byte) {
-	isBin := protocol.IsBinaryFrame(wire)
-	hasTrace := isBin && protocol.FrameHasTrace(wire)
-	var jsonWire, v1Wire []byte
+	var jsonWire []byte
 	for _, sess := range targets {
 		if !sess.wantsClass(class) {
 			sess.filtered.Add(1)
 			continue
 		}
-		w := wire
-		if isBin && sess.wireVer == 0 {
-			if jsonWire == nil {
-				jsonWire = transcodeJSON(wire)
-			}
-			w = jsonWire
-		} else if hasTrace && sess.wireVer == 1 {
-			// v1 peers predate the trace extension: strip it once and
-			// share, exactly like the JSON transcode above.
-			if v1Wire == nil {
-				v1Wire = protocol.StripTrace(wire)
-			}
-			w = v1Wire
-		}
-		s.sendWire(sess, w)
+		s.sendWire(sess, s.wireFor(sess, wire, &jsonWire))
 	}
 }
 
@@ -1396,9 +1366,7 @@ func (s *Server) logFloorEvent(groupID string, body protocol.FloorEventBody, tc 
 		}
 		return wire, err
 	}, func(wire []byte) {
-		isBin := protocol.IsBinaryFrame(wire)
-		hasTrace := isBin && protocol.FrameHasTrace(wire)
-		var jsonWire, v1Wire []byte
+		var jsonWire []byte
 		for _, sess := range targets {
 			if !sess.wantsClass(protocol.ClassFloor) {
 				sess.filtered.Add(1)
@@ -1413,23 +1381,12 @@ func (s *Server) logFloorEvent(groupID string, body protocol.FloorEventBody, tc 
 				pmsg := protocol.MustNew(protocol.TFloorEvent, personal)
 				stampLogged(&pmsg, groupID, protocol.ClassFloor, refresh, gseqAt, cseqAt)
 				tc.stamp(&pmsg)
-				if pw, err := encodeFor(sess, pmsg); err == nil {
+				if pw, err := s.encodeFor(sess, pmsg); err == nil {
 					w = pw
 				}
 			}
 			if w == nil {
-				w = wire
-				if isBin && sess.wireVer == 0 {
-					if jsonWire == nil {
-						jsonWire = transcodeJSON(wire)
-					}
-					w = jsonWire
-				} else if hasTrace && sess.wireVer == 1 {
-					if v1Wire == nil {
-						v1Wire = protocol.StripTrace(wire)
-					}
-					w = v1Wire
-				}
+				w = s.wireFor(sess, wire, &jsonWire)
 			}
 			s.sendWire(sess, w)
 		}
@@ -1557,7 +1514,7 @@ func (s *Server) logSendTo(id group.MemberID, msg protocol.Message) {
 			sess.filtered.Add(1)
 			return
 		}
-		s.sendWire(sess, wireFor(sess, wire))
+		s.sendWire(sess, s.wireFor(sess, wire, nil))
 	})
 }
 

@@ -58,9 +58,8 @@ func (s *Server) walEvent(key string, gseq, cseq int64, class string, state bool
 	}
 	rec := grouplog.WALRecord{
 		Kind: grouplog.WALEvent, Key: key,
-		GSeq: gseq, CSeq: cseq, Class: class, State: state,
+		GSeq: gseq, CSeq: cseq, Class: class, State: state, Wire: wire,
 	}
-	rec.SetWire(wire)
 	s.walAppend(rec)
 }
 
@@ -150,7 +149,7 @@ func mustJSON(v any) json.RawMessage {
 // authoritative — this node's own journal or a replicated suffix — so
 // a leading hole is history the retention window dropped, not loss.
 func applyBoardWire(gb *groupBoard, wire []byte) {
-	msg, err := protocol.DecodeAny(wire)
+	msg, err := protocol.DecodeBinary(wire)
 	if err != nil {
 		return
 	}
@@ -179,9 +178,9 @@ func (s *Server) replayWAL(w *grouplog.WAL) error {
 			if rec.Key == "" || rec.GSeq <= 0 {
 				return nil
 			}
-			s.logs.Get(rec.Key).AppendRaw(rec.GSeq, rec.CSeq, rec.Class, rec.State, rec.WireBytes())
+			s.logs.Get(rec.Key).AppendRaw(rec.GSeq, rec.CSeq, rec.Class, rec.State, rec.Wire)
 			if rec.Class == protocol.ClassBoard && !strings.HasPrefix(rec.Key, "~") {
-				applyBoardWire(s.board(rec.Key), rec.WireBytes())
+				applyBoardWire(s.board(rec.Key), rec.Wire)
 			}
 		case grouplog.WALGroup:
 			var data walGroupData
@@ -314,12 +313,10 @@ func (s *Server) Checkpoint() error {
 			continue
 		}
 		for _, e := range lg.Dump() {
-			rec := grouplog.WALRecord{
+			recs = append(recs, grouplog.WALRecord{
 				Kind: grouplog.WALEvent, Key: key,
-				GSeq: e.GSeq, CSeq: e.CSeq, Class: e.Class, State: e.State,
-			}
-			rec.SetWire(e.Wire)
-			recs = append(recs, rec)
+				GSeq: e.GSeq, CSeq: e.CSeq, Class: e.Class, State: e.State, Wire: e.Wire,
+			})
 		}
 	}
 	return s.wal.Checkpoint(recs)
