@@ -3,98 +3,79 @@ package cluster
 import (
 	"sync"
 
+	"dmps/internal/grouplog"
 	"dmps/internal/protocol"
 )
 
-// GroupReplica is the takeover package for one group partition: the
-// retained logged-event suffix, the latest floor-state blob (mode,
-// holder, the queue the redacted wire bytes cannot carry, suspensions,
-// pin), and the membership roster with its chair.
-type GroupReplica struct {
-	// Events are the replicated logged events: the owner's stamped
-	// binary frames with their sequence fields parsed back out, so a
-	// takeover installs them with the original numbering.
-	Events  []protocol.ReplicaEventBody
-	Floor   *protocol.FloorReplicaBody
-	Members []protocol.NodeMemberInfo
-	Chair   string
-	Head    int64
-	// BoardHead is the highest board operation sequence the owner was
-	// known to have issued. The adopting node advances its board past it
-	// even when the retained event suffix is incomplete (trimmed by the
-	// cap, or a dropped best-effort forward), so a takeover can never
-	// re-mint board sequence numbers clients already applied.
-	BoardHead int64
-}
-
-// ReplicaStore holds the group replicas a node keeps on behalf of its
-// ring predecessor: ForwardReplica and ForwardMembers forwards
-// accumulate here, and a takeover drains one group's package into the
-// live planes. Retention is bounded per group (at least cap events,
-// trimmed amortized at 2×cap, FIFO) — a client older than the retained
-// suffix converges through the snapshot fallback, same as with the
-// in-process log ring. Safe for concurrent use.
+// ReplicaStore holds the partition packages a node keeps on behalf of
+// its ring predecessors, one protocol.TakeoverBody per key — the same
+// package a migration ships and a takeover installs. A group key
+// accumulates its retained logged-event suffix (ForwardReplica), the
+// latest floor blob (mode, holder, the queue the redacted wire bytes
+// cannot carry, suspensions, pin) and its roster and chair
+// (ForwardMembers); a "~member" key holds the member's home — directory
+// row and resume token (ForwardMemberHome) — beside their member-log
+// suffix. Adoption drains one key's package into the live planes.
+// Retention is bounded per key (at least cap events, trimmed amortized
+// at 2×cap, FIFO) — a client older than the retained suffix converges
+// through the snapshot fallback, same as with the in-process log ring.
+// Safe for concurrent use.
 type ReplicaStore struct {
-	mu      sync.Mutex
-	cap     int
-	groups  map[string]*GroupReplica
-	members map[string]*MemberHome
+	mu    sync.Mutex
+	cap   int
+	parts map[string]*replica
 	// epochs records, per key, the newest migration epoch whose takeover
 	// package this store (or its node) has installed; packages stamped
 	// older are stale and discarded.
 	epochs map[string]int64
 }
 
-// MemberHome is a member's replicated home-node state: the directory
-// row and the session-resume token. The home's successor holds it so a
-// resume presented after home-node death can be adopted instead of
-// expiring the session.
-type MemberHome struct {
-	Info  protocol.NodeMemberInfo
-	Token string
+// replica is one stored package plus the highest replicated GSeq among
+// its events — the only bookkeeping the package itself does not carry.
+type replica struct {
+	tb   protocol.TakeoverBody
+	head int64
 }
 
 // NewReplicaStore returns an empty store retaining up to cap events per
-// group (cap <= 0 means 512, matching the log plane's default).
+// key (cap <= 0 means 512, matching the log plane's default).
 func NewReplicaStore(cap int) *ReplicaStore {
 	if cap <= 0 {
 		cap = 512
 	}
-	return &ReplicaStore{
-		cap: cap, groups: make(map[string]*GroupReplica),
-		members: make(map[string]*MemberHome), epochs: make(map[string]int64),
-	}
+	return &ReplicaStore{cap: cap, parts: make(map[string]*replica), epochs: make(map[string]int64)}
 }
 
-func (s *ReplicaStore) group(id string) *GroupReplica {
-	g, ok := s.groups[id]
+func (s *ReplicaStore) part(key string) *replica {
+	r, ok := s.parts[key]
 	if !ok {
-		g = &GroupReplica{}
-		s.groups[id] = g
+		r = &replica{tb: protocol.TakeoverBody{Key: key}}
+		s.parts[key] = r
 	}
-	return g
+	return r
 }
 
-// ApplyEvent records one replicated logged event for a group. The wire
+// ApplyEvent records one replicated logged event for a key. The wire
 // bytes are the owner's stamped binary fan-out frame; its
 // envelope is parsed here (off the owner's hot path) to recover the
 // sequence fields. An optional floor blob replaces the group's takeover
 // floor state.
-func (s *ReplicaStore) ApplyEvent(groupID string, wire []byte, floor *protocol.FloorReplicaBody) {
+func (s *ReplicaStore) ApplyEvent(key string, wire []byte, floor *protocol.FloorReplicaBody) {
 	env, err := protocol.DecodeBinary(wire)
 	if err != nil || env.GSeq == 0 {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	g := s.group(groupID)
+	r := s.part(key)
 	// Forwards ride FIFO per-peer queues, so duplicates cannot happen but
 	// a re-dial after a pool hiccup can replay nothing; only advance.
-	if env.GSeq <= g.Head {
+	if env.GSeq <= r.head {
 		return
 	}
-	g.Head = env.GSeq
-	g.Events = append(g.Events, protocol.ReplicaEventBody{
+	r.head = env.GSeq
+	tb := &r.tb
+	tb.Events = append(tb.Events, protocol.ReplicaEventBody{
 		GSeq: env.GSeq, CSeq: env.CSeq, Class: env.Class, State: env.State, Wire: wire,
 	})
 	if env.Class == protocol.ClassBoard {
@@ -103,17 +84,17 @@ func (s *ReplicaStore) ApplyEvent(groupID string, wire []byte, floor *protocol.F
 		// earlier board events were trimmed from the retained suffix.
 		var body protocol.SequencedBody
 		if env.Into(&body) == nil {
-			if body.Seq > g.BoardHead {
-				g.BoardHead = body.Seq
+			if body.Seq > tb.BoardHead {
+				tb.BoardHead = body.Seq
 			}
 			for _, op := range body.More {
-				if op.Seq > g.BoardHead {
-					g.BoardHead = op.Seq
+				if op.Seq > tb.BoardHead {
+					tb.BoardHead = op.Seq
 				}
 			}
 		}
 	}
-	if len(g.Events) >= 2*s.cap {
+	if len(tb.Events) >= 2*s.cap {
 		// Amortized trim: compacting on every event past the cap would
 		// copy the whole window per append — O(cap) on the replication
 		// hot path. Letting the slice run to 2×cap and then cutting
@@ -121,10 +102,10 @@ func (s *ReplicaStore) ApplyEvent(groupID string, wire []byte, floor *protocol.F
 		// steady-state cost is one event-copy per event. Takeover only
 		// needs the retained suffix, so briefly holding up to 2×cap-1
 		// events is extra safety margin, never staleness.
-		g.Events = append(g.Events[:0:0], g.Events[len(g.Events)-s.cap:]...)
+		tb.Events = append(tb.Events[:0:0], tb.Events[len(tb.Events)-s.cap:]...)
 	}
 	if floor != nil {
-		g.Floor = floor
+		tb.Floor = floor
 	}
 }
 
@@ -132,116 +113,95 @@ func (s *ReplicaStore) ApplyEvent(groupID string, wire []byte, floor *protocol.F
 func (s *ReplicaStore) ApplyMembers(groupID, chair string, members []protocol.NodeMemberInfo) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	g := s.group(groupID)
-	g.Chair = chair
-	g.Members = members
-}
-
-// Has reports whether the store holds any replica state for a group —
-// the adoption test: a node asked to serve a partition it does not
-// primarily own adopts it exactly when a replica is present.
-func (s *ReplicaStore) Has(groupID string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.groups[groupID]
-	return ok
-}
-
-// Head returns the highest replicated GSeq for a group (0 when none) —
-// what tests wait on to know replication caught up before a kill.
-func (s *ReplicaStore) Head(groupID string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if g, ok := s.groups[groupID]; ok {
-		return g.Head
-	}
-	return 0
-}
-
-// Take removes and returns a group's replica package for takeover. The
-// removal is what makes adoption idempotent: the second caller finds
-// nothing and treats the group as already live.
-func (s *ReplicaStore) Take(groupID string) (GroupReplica, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g, ok := s.groups[groupID]
-	if !ok {
-		return GroupReplica{}, false
-	}
-	delete(s.groups, groupID)
-	return *g, true
-}
-
-// GroupKeys lists the keys the store holds replica packages for —
-// migration's enumeration of what a recovering node may be owed.
-func (s *ReplicaStore) GroupKeys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.groups))
-	for k := range s.groups {
-		out = append(out, k)
-	}
-	return out
-}
-
-// MemberIDs lists the member IDs the store holds replicated homes for.
-func (s *ReplicaStore) MemberIDs() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.members))
-	for id := range s.members {
-		out = append(out, id)
-	}
-	return out
+	tb := &s.part(groupID).tb
+	tb.Chair = chair
+	tb.Members = members
 }
 
 // ApplyMemberHome records a member's replicated home state (directory
-// row + resume token), keyed by member ID.
+// row + resume token) in their "~member" package.
 func (s *ReplicaStore) ApplyMemberHome(info protocol.NodeMemberInfo, token string) {
 	if info.ID == "" {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.members[info.ID] = &MemberHome{Info: info, Token: token}
+	tb := &s.part(grouplog.MemberKey(info.ID)).tb
+	tb.Member = &info
+	tb.Token = token
 }
 
 // DropMemberHome retracts a replicated member home — the home node
-// expired the session, so the replica must not adopt it back to life.
+// expired the session and dropped their member log, so the replica
+// must not adopt them back to life.
 func (s *ReplicaStore) DropMemberHome(memberID string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.members, memberID)
+	delete(s.parts, grouplog.MemberKey(memberID))
 }
 
-// MemberByToken finds the replicated member home holding the given
+// Has reports whether the store holds any replica state for a key —
+// the adoption test: a node asked to serve a partition it does not
+// primarily own adopts it exactly when a replica is present.
+func (s *ReplicaStore) Has(key string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.parts[key]
+	return ok
+}
+
+// Head returns the highest replicated GSeq for a key (0 when none) —
+// what tests wait on to know replication caught up before a kill.
+func (s *ReplicaStore) Head(key string) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r, ok := s.parts[key]; ok {
+		return r.head
+	}
+	return 0
+}
+
+// Take removes and returns a key's package for takeover. The removal is
+// what makes adoption idempotent: the second caller finds nothing and
+// treats the partition as already live.
+func (s *ReplicaStore) Take(key string) (protocol.TakeoverBody, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, ok := s.parts[key]
+	if !ok {
+		return protocol.TakeoverBody{}, false
+	}
+	delete(s.parts, key)
+	return r.tb, true
+}
+
+// Keys lists the keys the store holds packages for — migration's
+// enumeration of what a recovering node may be owed.
+func (s *ReplicaStore) Keys() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]string, 0, len(s.parts))
+	for k := range s.parts {
+		out = append(out, k)
+	}
+	return out
+}
+
+// MemberByToken finds the member whose replicated home holds the given
 // resume token — the lookup a successor runs when a resume arrives for
 // a token it never minted.
-func (s *ReplicaStore) MemberByToken(token string) (MemberHome, bool) {
+func (s *ReplicaStore) MemberByToken(token string) (string, bool) {
 	if token == "" {
-		return MemberHome{}, false
+		return "", false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, mh := range s.members {
-		if mh.Token == token {
-			return *mh, true
+	for _, r := range s.parts {
+		if r.tb.Member != nil && r.tb.Token == token {
+			return r.tb.Member.ID, true
 		}
 	}
-	return MemberHome{}, false
-}
-
-// TakeMember removes and returns a member's replicated home for
-// adoption — delete-on-read idempotency, like Take.
-func (s *ReplicaStore) TakeMember(memberID string) (MemberHome, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	mh, ok := s.members[memberID]
-	if !ok {
-		return MemberHome{}, false
-	}
-	delete(s.members, memberID)
-	return *mh, true
+	return "", false
 }
 
 // AdmitEpoch checks a takeover package's epoch against the newest this
@@ -259,13 +219,16 @@ func (s *ReplicaStore) AdmitEpoch(key string, epoch int64) bool {
 	return true
 }
 
-// Install replaces a group's replica package wholesale — how a
-// takeover package shipped by a migration lands on a node that does not
-// natively own the key (it becomes replica state for a later failover).
-func (s *ReplicaStore) Install(groupID string, rep GroupReplica) {
+// Install replaces a key's package wholesale — how a takeover package
+// shipped by a migration lands on a node that does not natively own
+// the key (it becomes replica state for a later failover).
+func (s *ReplicaStore) Install(tb protocol.TakeoverBody) {
+	r := &replica{tb: tb}
+	r.tb.Events = append([]protocol.ReplicaEventBody(nil), tb.Events...)
+	if n := len(tb.Events); n > 0 {
+		r.head = tb.Events[n-1].GSeq
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cp := rep
-	cp.Events = append([]protocol.ReplicaEventBody(nil), rep.Events...)
-	s.groups[groupID] = &cp
+	s.parts[tb.Key] = r
 }

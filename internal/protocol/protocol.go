@@ -679,13 +679,14 @@ type ReplicaEventBody struct {
 	Wire  []byte `json:"wire,omitempty"`
 }
 
-// TakeoverBody is a complete partition package shipped by an
-// epoch-versioned migration: everything a node needs to serve the key —
-// roster and chair, the floor blob, the retained log suffix, and the
-// board head. For a "~member" key, Member and Token carry the home-node
-// state instead of the group fields. Epoch stamps the migration; a
-// receiver discards packages older than the newest epoch it has
-// installed for the key.
+// TakeoverBody is a complete partition package: everything a node
+// needs to serve the key — roster and chair, the floor blob, the
+// retained log suffix, and the board head. For a "~member" key, Member
+// and Token carry the home-node state instead of the group fields. It
+// is the one shape a partition's state moves in: replica stores hold
+// it, epoch-versioned migrations ship it, adoption installs it, and the
+// WAL restates it. Epoch stamps a migration; a receiver discards
+// packages older than the newest epoch it has installed for the key.
 type TakeoverBody struct {
 	Key       string             `json:"key"`
 	Epoch     int64              `json:"epoch"`

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"dmps/internal/cluster"
-	"dmps/internal/floor"
 	"dmps/internal/group"
 	"dmps/internal/grouplog"
 	"dmps/internal/metrics"
@@ -217,107 +216,13 @@ func (s *Server) servesGroupFast(groupID string) bool {
 // adoptLocked takes over a group partition from its replica package.
 // Requires s.cluster.mu.
 func (s *Server) adoptLocked(groupID string) {
-	rep, ok := s.cluster.store.Take(groupID)
+	tb, ok := s.cluster.store.Take(groupID)
 	if !ok {
 		return
 	}
 	s.cluster.adopted[groupID] = true
-	s.installGroupReplica(groupID, rep)
-}
-
-// installGroupReplica restores a partition package into the live
-// planes: membership into the registry, the floor state (mode, holder,
-// queue, suspensions, pin) into the controller, the logged suffix into
-// the log plane with its original sequence numbers, and the board ops
-// into the authoritative board. Clients then converge through their
-// ordinary backfill path — the restored log replays with the same CSeqs
-// their cursors expect, so a handoff looks exactly like a reconnect,
-// with zero duplicate grants (the holder is restored, never
-// re-granted). Shared by failover adoption and migration takeover.
-func (s *Server) installGroupReplica(groupID string, rep cluster.GroupReplica) {
-	defer s.cluster.served.Store(groupID, true)
-	chair := group.MemberID(rep.Chair)
-	for _, m := range rep.Members {
-		_ = s.registry.EnsureMember(memberFromInfo(m))
-	}
-	if chair != "" {
-		if err := s.registry.CreateGroup(groupID, chair); err != nil && !errors.Is(err, group.ErrDuplicate) {
-			// Without a chair record the group cannot be rebuilt; serve
-			// what the floor/log restore below still provides.
-			_ = err
-		}
-		for _, m := range rep.Members {
-			_ = s.registry.Join(groupID, group.MemberID(m.ID))
-		}
-	}
-	if rep.Floor != nil {
-		mode, ok := floor.ParseMode(rep.Floor.Mode)
-		if !ok {
-			mode = floor.FreeAccess
-		}
-		queue := make([]group.MemberID, 0, len(rep.Floor.Queue))
-		for _, m := range rep.Floor.Queue {
-			queue = append(queue, group.MemberID(m))
-		}
-		suspended := make([]group.MemberID, 0, len(rep.Floor.Suspended))
-		for _, m := range rep.Floor.Suspended {
-			suspended = append(suspended, group.MemberID(m))
-		}
-		s.floorCtl.Restore(groupID, mode, group.MemberID(rep.Floor.Holder), queue, suspended, rep.Floor.Pinned)
-	}
-	lg := s.logs.Get(groupID)
-	gb := s.board(groupID)
-	for _, ev := range rep.Events {
-		lg.AppendRaw(ev.GSeq, ev.CSeq, ev.Class, ev.State, ev.Wire)
-		s.walEvent(groupID, ev.GSeq, ev.CSeq, ev.Class, ev.State, ev.Wire)
-		if ev.Class == protocol.ClassBoard {
-			applyBoardWire(gb, ev.Wire)
-		}
-	}
-	// Never re-mint board sequence numbers clients already applied: even
-	// if the retained suffix missed tail ops (a trimmed window, a
-	// dropped best-effort forward), minting resumes past the owner's
-	// known head.
-	gb.mu.Lock()
-	gb.board.SkipTo(rep.BoardHead)
-	gb.mu.Unlock()
-	// The adopted partition is part of this node's serving state now:
-	// journal its roster, floor blob and board head so a restart of THIS
-	// process resumes serving it too.
-	s.walGroupState(groupID)
-}
-
-// adoptMemberLocked takes over a member's replicated home: the
-// directory row is restored, the resume token installed, the member's
-// private event log replayed from its replica, and the ID counter
-// bumped past the adopted ID so this node can never re-mint it.
-// Requires s.cluster.mu.
-func (s *Server) adoptMemberLocked(mh cluster.MemberHome) {
-	id := mh.Info.ID
-	if _, ok := s.cluster.store.TakeMember(id); !ok {
-		// Already adopted by a racing resume; fall through only when the
-		// store still held the record.
-		if _, adopted := s.cluster.homes.Load(id); adopted {
-			return
-		}
-	}
-	s.cluster.adoptedMembers[id] = true
-	_ = s.registry.EnsureMember(memberFromInfo(mh.Info))
-	s.bumpNextID(id)
-	if mh.Token != "" {
-		s.mu.Lock()
-		s.tokens[mh.Token] = group.MemberID(id)
-		s.tokenOf[group.MemberID(id)] = mh.Token
-		s.mu.Unlock()
-	}
-	if rep, ok := s.cluster.store.Take(grouplog.MemberKey(id)); ok {
-		lg := s.logs.Get(grouplog.MemberKey(id))
-		for _, ev := range rep.Events {
-			lg.AppendRaw(ev.GSeq, ev.CSeq, ev.Class, ev.State, ev.Wire)
-			s.walEvent(grouplog.MemberKey(id), ev.GSeq, ev.CSeq, ev.Class, ev.State, ev.Wire)
-		}
-	}
-	s.cluster.homes.Store(id, true)
+	s.installPartition(tb)
+	s.cluster.served.Store(groupID, true)
 }
 
 // adoptResume resolves a resume token this node never minted: when the
@@ -330,11 +235,21 @@ func (s *Server) adoptResume(token string) (group.MemberID, string, bool) {
 	if s.cluster == nil {
 		return "", "", false
 	}
-	mh, found := s.cluster.store.MemberByToken(token)
+	// The lookup shares cluster.mu with the adoption below, so a miss
+	// here means no racing resume is mid-adoption: either the token is
+	// unknown, or one already adopted the home and the token resolves
+	// locally now.
+	s.cluster.mu.Lock()
+	id, found := s.cluster.store.MemberByToken(token)
 	if !found {
-		return "", "", false
+		s.mu.Lock()
+		mid, ok := s.tokens[token]
+		s.mu.Unlock()
+		s.cluster.mu.Unlock()
+		return mid, "", ok
 	}
-	home := s.cluster.topo.Primary(cluster.HomeKey(mh.Info.ID))
+	s.cluster.mu.Unlock()
+	home := s.cluster.topo.Primary(cluster.HomeKey(id))
 	if home != s.cluster.cfg.Self {
 		if probe, err := s.cluster.cfg.Network.Dial(s.cluster.cfg.Nodes[home]); err == nil {
 			_ = probe.Close()
@@ -342,13 +257,26 @@ func (s *Server) adoptResume(token string) (group.MemberID, string, bool) {
 		}
 	}
 	s.cluster.mu.Lock()
-	s.adoptMemberLocked(mh)
+	if _, adopted := s.cluster.homes.Load(id); !adopted {
+		// Take is what makes a racing resume of the same member adopt
+		// once; a home dropped since the lookup is an ordinary expiry.
+		tb, ok := s.cluster.store.Take(grouplog.MemberKey(id))
+		if !ok || tb.Member == nil {
+			s.cluster.mu.Unlock()
+			return "", "", false
+		}
+		s.cluster.adoptedMembers[id] = true
+		s.installPartition(tb)
+		s.cluster.homes.Store(id, true)
+	}
 	s.cluster.mu.Unlock()
-	// The member homes here now: journal the claim and replicate it to
-	// THIS node's successors, so the adoption itself is durable.
-	s.walMemberHome(memberFromInfo(mh.Info), mh.Token)
-	s.replicateMemberHome(memberFromInfo(mh.Info), mh.Token)
-	return group.MemberID(mh.Info.ID), "", true
+	// The member homes here now (the install journaled the claim):
+	// replicate it to THIS node's successors, so the adoption itself
+	// survives this node too.
+	if m, err := s.registry.Member(group.MemberID(id)); err == nil {
+		s.replicateMemberHome(m, token)
+	}
+	return group.MemberID(id), "", true
 }
 
 // bumpNextID advances the member-ID counter past the numeric suffix of
@@ -360,10 +288,13 @@ func (s *Server) bumpNextID(memberID string) {
 	if i < 0 {
 		return
 	}
-	n, err := strconv.ParseInt(memberID[i+1:], 10, 64)
-	if err != nil {
-		return
+	if n, err := strconv.ParseInt(memberID[i+1:], 10, 64); err == nil {
+		s.advanceNextID(n)
 	}
+}
+
+// advanceNextID raises the member-ID counter to at least n.
+func (s *Server) advanceNextID(n int64) {
 	for {
 		cur := s.nextID.Load()
 		if cur >= n || s.nextID.CompareAndSwap(cur, n) {
@@ -454,17 +385,7 @@ func (s *Server) replicateLogged(key, class string, wire []byte) {
 	}
 	fwd := protocol.ForwardBody{Kind: protocol.ForwardReplica, Group: key, Msg: wire}
 	if class == protocol.ClassFloor || class == protocol.ClassSuspend {
-		mode, holder, queue, suspended, pinned := s.floorCtl.StateSnapshot(key)
-		blob := &protocol.FloorReplicaBody{
-			Mode: mode.String(), Holder: string(holder), Pinned: pinned,
-		}
-		for _, m := range queue {
-			blob.Queue = append(blob.Queue, string(m))
-		}
-		for _, m := range suspended {
-			blob.Suspended = append(blob.Suspended, string(m))
-		}
-		fwd.Floor = blob
+		fwd.Floor = s.floorBlob(key)
 	}
 	// The logged bytes carry the operation's trace context when sampled
 	// (a cheap frame peek otherwise): replication rides the same trace.
@@ -487,7 +408,7 @@ func (s *Server) replicateLogged(key, class string, wire []byte) {
 func (s *Server) replicateMembers(groupID string) {
 	s.rosterMu.Lock()
 	defer s.rosterMu.Unlock()
-	s.walGroupState(groupID)
+	s.walState(groupID)
 	if s.cluster == nil {
 		return
 	}

@@ -19,88 +19,10 @@ import (
 	"strings"
 
 	"dmps/internal/cluster"
-	"dmps/internal/group"
 	"dmps/internal/grouplog"
 	"dmps/internal/protocol"
 	"dmps/internal/transport"
 )
-
-// eventsHead reports the highest GSeq among takeover-package events.
-func eventsHead(events []protocol.ReplicaEventBody) int64 {
-	var head int64
-	for _, e := range events {
-		if e.GSeq > head {
-			head = e.GSeq
-		}
-	}
-	return head
-}
-
-// takeoverFromReplica builds a takeover package from a stored replica.
-func takeoverFromReplica(key string, epoch int64, rep cluster.GroupReplica) protocol.TakeoverBody {
-	tb := protocol.TakeoverBody{
-		Key: key, Epoch: epoch, Chair: rep.Chair, Members: rep.Members,
-		Floor: rep.Floor, BoardHead: rep.BoardHead,
-		Events: rep.Events,
-	}
-	return tb
-}
-
-// liveGroupTakeover dumps a group's LIVE state — registry roster, floor
-// controller snapshot, retained log window, board head — into a
-// takeover package. Used for partitions this node adopted and served.
-func (s *Server) liveGroupTakeover(gid string, epoch int64) protocol.TakeoverBody {
-	tb := protocol.TakeoverBody{Key: gid, Epoch: epoch}
-	if members, err := s.registry.GroupMembers(gid); err == nil {
-		for _, m := range members {
-			tb.Members = append(tb.Members, memberInfo(m))
-		}
-	}
-	if chair, err := s.registry.Chair(gid); err == nil {
-		tb.Chair = string(chair)
-	}
-	mode, holder, queue, suspended, pinned := s.floorCtl.StateSnapshot(gid)
-	blob := &protocol.FloorReplicaBody{Mode: mode.String(), Holder: string(holder), Pinned: pinned}
-	for _, m := range queue {
-		blob.Queue = append(blob.Queue, string(m))
-	}
-	for _, m := range suspended {
-		blob.Suspended = append(blob.Suspended, string(m))
-	}
-	tb.Floor = blob
-	if lg, ok := s.logs.Peek(gid); ok {
-		for _, e := range lg.Dump() {
-			tb.Events = append(tb.Events, protocol.ReplicaEventBody{
-				GSeq: e.GSeq, CSeq: e.CSeq, Class: e.Class, State: e.State, Wire: e.Wire,
-			})
-		}
-	}
-	gb := s.board(gid)
-	gb.mu.Lock()
-	tb.BoardHead = gb.board.Seq()
-	gb.mu.Unlock()
-	return tb
-}
-
-// liveMemberTakeover dumps an adopted member home's live state.
-func (s *Server) liveMemberTakeover(id string, epoch int64) protocol.TakeoverBody {
-	tb := protocol.TakeoverBody{Key: grouplog.MemberKey(id), Epoch: epoch}
-	if m, err := s.registry.Member(group.MemberID(id)); err == nil {
-		info := memberInfo(m)
-		tb.Member = &info
-	}
-	s.mu.Lock()
-	tb.Token = s.tokenOf[group.MemberID(id)]
-	s.mu.Unlock()
-	if lg, ok := s.logs.Peek(grouplog.MemberKey(id)); ok {
-		for _, e := range lg.Dump() {
-			tb.Events = append(tb.Events, protocol.ReplicaEventBody{
-				GSeq: e.GSeq, CSeq: e.CSeq, Class: e.Class, State: e.State, Wire: e.Wire,
-			})
-		}
-	}
-	return tb
-}
 
 // runMigration is the node side of a coordinated recovery: freeze every
 // key this node holds for the recovering node (adopted live state and
@@ -125,63 +47,46 @@ func (s *Server) runMigration(conn transport.Conn, body protocol.ForwardBody) {
 	// Freeze: collect the adopted keys owed to the recovering node and
 	// gate traffic for them (node_moved) until the handoff completes.
 	s.cluster.mu.Lock()
-	var groups, members []string
+	var keys []string
 	for gid := range s.cluster.adopted {
 		if s.cluster.topo.Primary(gid) == body.Node {
-			groups = append(groups, gid)
-			s.cluster.migrating[gid] = true
+			keys = append(keys, gid)
 		}
 	}
 	for id := range s.cluster.adoptedMembers {
 		if s.cluster.topo.Primary(cluster.HomeKey(id)) == body.Node {
-			members = append(members, id)
-			s.cluster.migrating[grouplog.MemberKey(id)] = true
+			keys = append(keys, grouplog.MemberKey(id))
 		}
+	}
+	for _, key := range keys {
+		s.cluster.migrating[key] = true
 	}
 	s.cluster.mu.Unlock()
 
 	// Never-adopted replica packages for the node's partitions: the
 	// recovering node may have restarted empty, so the replica this node
 	// holds can be the only copy of a partition that saw no traffic
-	// while the node was down.
+	// while the node was down. Then the live state of the adopted keys.
 	var packages []protocol.TakeoverBody
-	for _, key := range s.cluster.store.GroupKeys() {
-		owner := key
-		if strings.HasPrefix(key, "~") {
-			owner = cluster.HomeKey(strings.TrimPrefix(key, "~"))
-		}
-		if s.cluster.topo.Primary(owner) != body.Node {
+	for _, key := range s.cluster.store.Keys() {
+		if s.cluster.topo.Primary(ownerKey(key)) != body.Node {
 			continue
 		}
-		if rep, ok := s.cluster.store.Take(key); ok {
-			packages = append(packages, takeoverFromReplica(key, epoch, rep))
+		if tb, ok := s.cluster.store.Take(key); ok {
+			packages = append(packages, tb)
 		}
 	}
-	for _, id := range s.cluster.store.MemberIDs() {
-		if s.cluster.topo.Primary(cluster.HomeKey(id)) != body.Node {
-			continue
-		}
-		if mh, ok := s.cluster.store.TakeMember(id); ok {
-			info := mh.Info
-			packages = append(packages, protocol.TakeoverBody{
-				Key: grouplog.MemberKey(id), Epoch: epoch, Member: &info, Token: mh.Token,
-			})
-		}
+	for _, key := range keys {
+		packages = append(packages, s.partitionState(key, true))
 	}
-	for _, gid := range groups {
-		packages = append(packages, s.liveGroupTakeover(gid, epoch))
-	}
-	for _, id := range members {
-		packages = append(packages, s.liveMemberTakeover(id, epoch))
+	for i := range packages {
+		packages[i].Epoch = epoch
 	}
 
 	unfreeze := func() {
 		s.cluster.mu.Lock()
-		for _, gid := range groups {
-			delete(s.cluster.migrating, gid)
-		}
-		for _, id := range members {
-			delete(s.cluster.migrating, grouplog.MemberKey(id))
+		for _, key := range keys {
+			delete(s.cluster.migrating, key)
 		}
 		s.cluster.mu.Unlock()
 	}
@@ -244,15 +149,15 @@ func (s *Server) runMigration(conn transport.Conn, body protocol.ForwardBody) {
 	// keys now, and a future re-adoption installs idempotently on top
 	// (AppendRaw dedups, CreateGroup tolerates duplicates).
 	s.cluster.mu.Lock()
-	for _, gid := range groups {
-		delete(s.cluster.adopted, gid)
-		delete(s.cluster.migrating, gid)
-		s.cluster.served.Delete(gid)
-	}
-	for _, id := range members {
-		delete(s.cluster.adoptedMembers, id)
-		delete(s.cluster.migrating, grouplog.MemberKey(id))
-		s.cluster.homes.Delete(id)
+	for _, key := range keys {
+		delete(s.cluster.migrating, key)
+		if id, ok := strings.CutPrefix(key, "~"); ok {
+			delete(s.cluster.adoptedMembers, id)
+			s.cluster.homes.Delete(id)
+		} else {
+			delete(s.cluster.adopted, key)
+			s.cluster.served.Delete(key)
+		}
 	}
 	s.cluster.mu.Unlock()
 	reply(shipped)
@@ -267,43 +172,9 @@ func (s *Server) installTakeover(tb protocol.TakeoverBody) {
 		return
 	}
 	s.cluster.topo.AdvanceEpoch(tb.Epoch)
-	if strings.HasPrefix(tb.Key, "~") {
-		id := strings.TrimPrefix(tb.Key, "~")
-		native := s.cluster.topo.Primary(cluster.HomeKey(id)) == s.cluster.cfg.Self
-		if !native {
-			if tb.Member != nil {
-				s.cluster.store.ApplyMemberHome(*tb.Member, tb.Token)
-			}
-			if len(tb.Events) > 0 {
-				s.cluster.store.Install(tb.Key, cluster.GroupReplica{Events: tb.Events, Head: eventsHead(tb.Events)})
-			}
-			return
-		}
-		if tb.Member != nil {
-			_ = s.registry.EnsureMember(memberFromInfo(*tb.Member))
-			s.walMemberHome(memberFromInfo(*tb.Member), tb.Token)
-		}
-		s.bumpNextID(id)
-		if tb.Token != "" {
-			s.mu.Lock()
-			s.tokens[tb.Token] = group.MemberID(id)
-			s.tokenOf[group.MemberID(id)] = tb.Token
-			s.mu.Unlock()
-		}
-		lg := s.logs.Get(tb.Key)
-		for _, e := range tb.Events {
-			lg.AppendRaw(e.GSeq, e.CSeq, e.Class, e.State, e.Wire)
-			s.walEvent(tb.Key, e.GSeq, e.CSeq, e.Class, e.State, e.Wire)
-		}
+	if s.cluster.topo.Primary(ownerKey(tb.Key)) != s.cluster.cfg.Self {
+		s.cluster.store.Install(tb)
 		return
 	}
-	rep := cluster.GroupReplica{
-		Chair: tb.Chair, Members: tb.Members, Floor: tb.Floor,
-		Events: tb.Events, Head: eventsHead(tb.Events), BoardHead: tb.BoardHead,
-	}
-	if s.cluster.topo.Primary(tb.Key) != s.cluster.cfg.Self {
-		s.cluster.store.Install(tb.Key, rep)
-		return
-	}
-	s.installGroupReplica(tb.Key, rep)
+	s.installPartition(tb)
 }

@@ -975,7 +975,7 @@ func (s *Server) handshake(conn transport.Conn) (*session, protocol.Message, err
 			// A fresh admission mints this node's claim on the member:
 			// journal the home (directory row + token) and replicate it to
 			// the ring successors, so the resume outlives this process.
-			s.walMemberHome(member, token)
+			s.walState(grouplog.MemberKey(string(member.ID)))
 			s.replicateMemberHome(member, token)
 		}
 	}

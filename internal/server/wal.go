@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"strings"
 
-	"dmps/internal/floor"
 	"dmps/internal/group"
 	"dmps/internal/grouplog"
 	"dmps/internal/protocol"
@@ -56,11 +55,17 @@ func (s *Server) walEvent(key string, gseq, cseq int64, class string, state bool
 	if s.wal == nil {
 		return
 	}
-	rec := grouplog.WALRecord{
-		Kind: grouplog.WALEvent, Key: key,
+	s.walAppend(eventRecord(key, protocol.ReplicaEventBody{
 		GSeq: gseq, CSeq: cseq, Class: class, State: state, Wire: wire,
+	}))
+}
+
+// eventRecord is the journal record of one logged event.
+func eventRecord(key string, e protocol.ReplicaEventBody) grouplog.WALRecord {
+	return grouplog.WALRecord{
+		Kind: grouplog.WALEvent, Key: key,
+		GSeq: e.GSeq, CSeq: e.CSeq, Class: e.Class, State: e.State, Wire: e.Wire,
 	}
-	s.walAppend(rec)
 }
 
 // walFloor journals a group's current floor blob — the queue member
@@ -74,55 +79,79 @@ func (s *Server) walFloor(groupID string) {
 	})
 }
 
-// floorBlob snapshots a group's floor state in its replication form.
-func (s *Server) floorBlob(groupID string) *protocol.FloorReplicaBody {
-	mode, holder, queue, suspended, pinned := s.floorCtl.StateSnapshot(groupID)
-	blob := &protocol.FloorReplicaBody{Mode: mode.String(), Holder: string(holder), Pinned: pinned}
-	for _, m := range queue {
-		blob.Queue = append(blob.Queue, string(m))
-	}
-	for _, m := range suspended {
-		blob.Suspended = append(blob.Suspended, string(m))
-	}
-	return blob
-}
-
-// walGroupState journals a group's full non-log serving state: roster
-// and chair, the floor blob, and the board head (so a restarted board
-// never re-mints sequence numbers clients already applied).
-func (s *Server) walGroupState(groupID string) {
+// walState journals a partition's non-log serving state, restated from
+// its live package: a group's roster and chair, floor blob and board
+// head (so a restarted board never re-mints sequence numbers clients
+// already applied); a member home's directory row and resume token,
+// followed by the ID counter.
+func (s *Server) walState(key string) {
 	if s.wal == nil {
 		return
 	}
-	data := walGroupData{}
-	if members, err := s.registry.GroupMembers(groupID); err == nil {
-		for _, m := range members {
-			data.Members = append(data.Members, memberInfo(m))
+	for _, rec := range stateRecords(s.partitionState(key, false)) {
+		s.walAppend(rec)
+	}
+	if strings.HasPrefix(key, "~") {
+		s.walAppend(grouplog.WALRecord{Kind: grouplog.WALNextID, GSeq: s.nextID.Load()})
+	}
+}
+
+// stateRecords restates a package's non-log parts as journal records:
+// the member record of a member home, or a group's group, floor and
+// board-head records.
+func stateRecords(tb protocol.TakeoverBody) []grouplog.WALRecord {
+	if id, ok := strings.CutPrefix(tb.Key, "~"); ok {
+		if tb.Member == nil {
+			return nil
 		}
+		return []grouplog.WALRecord{{
+			Kind: grouplog.WALMember, Key: id,
+			Data: mustJSON(walMemberData{Info: *tb.Member, Token: tb.Token}),
+		}}
 	}
-	if chair, err := s.registry.Chair(groupID); err == nil {
-		data.Chair = string(chair)
+	return []grouplog.WALRecord{
+		{Kind: grouplog.WALGroup, Key: tb.Key, Data: mustJSON(walGroupData{Chair: tb.Chair, Members: tb.Members})},
+		{Kind: grouplog.WALFloor, Key: tb.Key, Data: mustJSON(tb.Floor)},
+		{Kind: grouplog.WALBoardHead, Key: tb.Key, GSeq: tb.BoardHead},
 	}
-	s.walAppend(grouplog.WALRecord{Kind: grouplog.WALGroup, Key: groupID, Data: mustJSON(data)})
-	s.walFloor(groupID)
-	gb := s.board(groupID)
-	gb.mu.Lock()
-	head := gb.board.Seq()
-	gb.mu.Unlock()
-	s.walAppend(grouplog.WALRecord{Kind: grouplog.WALBoardHead, Key: groupID, GSeq: head})
 }
 
-// walMemberHome journals a homed member's directory row and resume
-// token — what lets the token resolve again after a restart.
-func (s *Server) walMemberHome(m group.Member, token string) {
-	if s.wal == nil {
-		return
+// recordPartition decodes one journal record into the partial package
+// it restates (false for a record that restates no partition state).
+func recordPartition(rec grouplog.WALRecord) (protocol.TakeoverBody, bool) {
+	tb := protocol.TakeoverBody{Key: rec.Key}
+	switch rec.Kind {
+	case grouplog.WALEvent:
+		if rec.GSeq <= 0 {
+			return tb, false
+		}
+		tb.Events = []protocol.ReplicaEventBody{{
+			GSeq: rec.GSeq, CSeq: rec.CSeq, Class: rec.Class, State: rec.State, Wire: rec.Wire,
+		}}
+	case grouplog.WALGroup:
+		var data walGroupData
+		if json.Unmarshal(rec.Data, &data) != nil {
+			return tb, false
+		}
+		tb.Chair, tb.Members = data.Chair, data.Members
+	case grouplog.WALFloor:
+		tb.Floor = new(protocol.FloorReplicaBody)
+		if json.Unmarshal(rec.Data, tb.Floor) != nil {
+			return tb, false
+		}
+	case grouplog.WALBoardHead:
+		tb.BoardHead = rec.GSeq
+	case grouplog.WALMember:
+		var data walMemberData
+		if json.Unmarshal(rec.Data, &data) != nil || data.Info.ID == "" {
+			return tb, false
+		}
+		tb.Key = grouplog.MemberKey(data.Info.ID)
+		tb.Member, tb.Token = &data.Info, data.Token
+	default:
+		return tb, false
 	}
-	s.walAppend(grouplog.WALRecord{
-		Kind: grouplog.WALMember, Key: string(m.ID),
-		Data: mustJSON(walMemberData{Info: memberInfo(m), Token: token}),
-	})
-	s.walAppend(grouplog.WALRecord{Kind: grouplog.WALNextID, GSeq: s.nextID.Load()})
+	return tb, tb.Key != ""
 }
 
 // walMemberDrop journals a member's expiry, so a replayed journal does
@@ -170,66 +199,11 @@ func applyBoardWire(gb *groupBoard, wire []byte) {
 // replayWAL installs every journaled record into the live planes, in
 // write order — run by New before the listener accepts anyone, so the
 // first client of the restarted process already sees the pre-crash
-// GSeq/CSeq cursors, tokens and floor state.
+// GSeq/CSeq cursors, tokens and floor state. Each state or event record
+// becomes a partial package for installPartition.
 func (s *Server) replayWAL(w *grouplog.WAL) error {
 	return w.Replay(func(rec grouplog.WALRecord) error {
 		switch rec.Kind {
-		case grouplog.WALEvent:
-			if rec.Key == "" || rec.GSeq <= 0 {
-				return nil
-			}
-			s.logs.Get(rec.Key).AppendRaw(rec.GSeq, rec.CSeq, rec.Class, rec.State, rec.Wire)
-			if rec.Class == protocol.ClassBoard && !strings.HasPrefix(rec.Key, "~") {
-				applyBoardWire(s.board(rec.Key), rec.Wire)
-			}
-		case grouplog.WALGroup:
-			var data walGroupData
-			if rec.Key == "" || json.Unmarshal(rec.Data, &data) != nil {
-				return nil
-			}
-			for _, m := range data.Members {
-				_ = s.registry.EnsureMember(memberFromInfo(m))
-				s.bumpNextID(m.ID)
-			}
-			if data.Chair != "" {
-				if err := s.registry.CreateGroup(rec.Key, group.MemberID(data.Chair)); err != nil {
-					_ = err // duplicate create on a later restatement
-				}
-				for _, m := range data.Members {
-					_ = s.registry.Join(rec.Key, group.MemberID(m.ID))
-				}
-			}
-		case grouplog.WALFloor:
-			var blob protocol.FloorReplicaBody
-			if rec.Key == "" || json.Unmarshal(rec.Data, &blob) != nil {
-				return nil
-			}
-			mode, ok := floor.ParseMode(blob.Mode)
-			if !ok {
-				mode = floor.FreeAccess
-			}
-			queue := make([]group.MemberID, 0, len(blob.Queue))
-			for _, m := range blob.Queue {
-				queue = append(queue, group.MemberID(m))
-			}
-			suspended := make([]group.MemberID, 0, len(blob.Suspended))
-			for _, m := range blob.Suspended {
-				suspended = append(suspended, group.MemberID(m))
-			}
-			s.floorCtl.Restore(rec.Key, mode, group.MemberID(blob.Holder), queue, suspended, blob.Pinned)
-		case grouplog.WALMember:
-			var data walMemberData
-			if json.Unmarshal(rec.Data, &data) != nil || data.Info.ID == "" {
-				return nil
-			}
-			_ = s.registry.EnsureMember(memberFromInfo(data.Info))
-			s.bumpNextID(data.Info.ID)
-			if data.Token != "" {
-				s.mu.Lock()
-				s.tokens[data.Token] = group.MemberID(data.Info.ID)
-				s.tokenOf[group.MemberID(data.Info.ID)] = data.Token
-				s.mu.Unlock()
-			}
 		case grouplog.WALMemberDrop:
 			if rec.Key == "" {
 				return nil
@@ -243,20 +217,11 @@ func (s *Server) replayWAL(w *grouplog.WAL) error {
 			s.mu.Unlock()
 			s.registry.Unregister(id)
 			s.logs.Drop(grouplog.MemberKey(rec.Key))
-		case grouplog.WALBoardHead:
-			if rec.Key == "" {
-				return nil
-			}
-			gb := s.board(rec.Key)
-			gb.mu.Lock()
-			gb.board.SkipTo(rec.GSeq)
-			gb.mu.Unlock()
 		case grouplog.WALNextID:
-			for {
-				cur := s.nextID.Load()
-				if cur >= rec.GSeq || s.nextID.CompareAndSwap(cur, rec.GSeq) {
-					break
-				}
+			s.advanceNextID(rec.GSeq)
+		default:
+			if tb, ok := recordPartition(rec); ok {
+				s.installPartition(tb)
 			}
 		}
 		return nil
@@ -264,60 +229,28 @@ func (s *Server) replayWAL(w *grouplog.WAL) error {
 }
 
 // Checkpoint restates the node's full serving state — the ID counter,
-// every member home and token, every group's roster/floor/board head,
-// and every log's retained window — into a fresh WAL segment, then
-// truncates the older segments. The probe loop runs it on the
-// WALCheckpointInterval cadence; tests call it directly. No-op (nil)
-// when the WAL is off.
+// every member home and token, every log's retained window, and every
+// group's roster/floor/board head — into a fresh WAL segment, then
+// truncates the older segments. Events precede the board heads, so a
+// replay converges the retained board ops before it skips the board
+// past its head (the other way round, Converge would drop them as
+// duplicates). The probe loop runs it on the WALCheckpointInterval
+// cadence; tests call it directly. No-op (nil) when the WAL is off.
 func (s *Server) Checkpoint() error {
 	if s.wal == nil {
 		return nil
 	}
-	var recs []grouplog.WALRecord
-	recs = append(recs, grouplog.WALRecord{Kind: grouplog.WALNextID, GSeq: s.nextID.Load()})
-	s.mu.Lock()
-	tokens := make(map[group.MemberID]string, len(s.tokenOf))
-	for id, tok := range s.tokenOf {
-		tokens[id] = tok
-	}
-	s.mu.Unlock()
+	recs := []grouplog.WALRecord{{Kind: grouplog.WALNextID, GSeq: s.nextID.Load()}}
 	for _, m := range s.registry.Members() {
-		recs = append(recs, grouplog.WALRecord{
-			Kind: grouplog.WALMember, Key: string(m.ID),
-			Data: mustJSON(walMemberData{Info: memberInfo(m), Token: tokens[m.ID]}),
-		})
-	}
-	for _, gid := range s.registry.Groups() {
-		data := walGroupData{}
-		if members, err := s.registry.GroupMembers(gid); err == nil {
-			for _, m := range members {
-				data.Members = append(data.Members, memberInfo(m))
-			}
-		}
-		if chair, err := s.registry.Chair(gid); err == nil {
-			data.Chair = string(chair)
-		}
-		recs = append(recs,
-			grouplog.WALRecord{Kind: grouplog.WALGroup, Key: gid, Data: mustJSON(data)},
-			grouplog.WALRecord{Kind: grouplog.WALFloor, Key: gid, Data: mustJSON(s.floorBlob(gid))},
-		)
-		gb := s.board(gid)
-		gb.mu.Lock()
-		head := gb.board.Seq()
-		gb.mu.Unlock()
-		recs = append(recs, grouplog.WALRecord{Kind: grouplog.WALBoardHead, Key: gid, GSeq: head})
+		recs = append(recs, stateRecords(s.partitionState(grouplog.MemberKey(string(m.ID)), false))...)
 	}
 	for _, key := range s.logs.Keys() {
-		lg, ok := s.logs.Peek(key)
-		if !ok {
-			continue
+		for _, e := range s.logEvents(key) {
+			recs = append(recs, eventRecord(key, e))
 		}
-		for _, e := range lg.Dump() {
-			recs = append(recs, grouplog.WALRecord{
-				Kind: grouplog.WALEvent, Key: key,
-				GSeq: e.GSeq, CSeq: e.CSeq, Class: e.Class, State: e.State, Wire: e.Wire,
-			})
-		}
+	}
+	for _, gid := range s.registry.Groups() {
+		recs = append(recs, stateRecords(s.partitionState(gid, false))...)
 	}
 	return s.wal.Checkpoint(recs)
 }
