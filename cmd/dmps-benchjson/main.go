@@ -213,10 +213,13 @@ func main() {
 
 // gateTrend compares this run's wire-cost units against a prior
 // BENCH_*.json: any benchmark present in both documents must keep
-// B/op and allocs/op within baseline×maxGrowth. Comparing only the
-// intersection keeps renamed or newly added benchmarks from tripping
-// (or silently escaping) the gate, and — like gate above — an empty
-// intersection fails rather than passing vacuously.
+// B/op and allocs/op within baseline×maxGrowth. A baseline name
+// matches its exact row or, failing that, exactly one row carrying a
+// -GOMAXPROCS suffix (findSuffixed), so a baseline captured on one core
+// keeps gating on a multi-core runner. Comparing only the intersection
+// keeps renamed or newly added benchmarks from tripping (or silently
+// escaping) the gate, and — like gate above — an empty intersection
+// fails rather than passing vacuously.
 func gateTrend(path string, rows map[string]metrics, maxGrowth float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -235,8 +238,11 @@ func gateTrend(path string, rows map[string]metrics, maxGrowth float64) error {
 		}
 	}
 	compared := 0
-	for name, row := range rows {
-		ref, ok := base[name]
+	for name, ref := range base {
+		row, ok := rows[name]
+		if !ok {
+			row, ok = findSuffixed(rows, name)
+		}
 		if !ok {
 			continue
 		}

@@ -82,17 +82,11 @@ type Config struct {
 	// OnEvent, when set, observes every server-initiated event
 	// synchronously from the read loop: keep it fast and non-blocking.
 	OnEvent func(protocol.Message)
-	// WireJSON keeps this client's sends on the JSON wire framing instead
-	// of requesting the binary framing in the hello. Inbound frames of
-	// either framing are always understood; the knob only pins what this
-	// client asks for and emits — the debugging escape hatch, and the
-	// interop test's way of staging a mixed-version group.
-	WireJSON bool
 	// Trace stamps a sampled trace context (a fresh random trace ID plus
 	// the sampled bit) onto every request this client sends, asking each
 	// hop — router relay, owner dispatch, replication, fan-out — to
-	// record named spans for the op. The context rides on either
-	// framing: JSON fields, or the binary frame's trace extension.
+	// record named spans for the op. The context rides the binary
+	// frame's trace extension.
 	Trace bool
 }
 
@@ -160,11 +154,6 @@ type Client struct {
 	closed       bool          // user called Close: the session is over
 	connDown     bool          // connection lost; Reconnect can resume
 	reconnecting bool          // a Reconnect is in flight (at most one)
-	// wireVer is the wire framing the server granted in the welcome (0 =
-	// JSON, 2 = binary): what this client's sends encode to. Renegotiated
-	// on every Reconnect — a resume through an older server downgrades
-	// gracefully to JSON.
-	wireVer int
 
 	readerDone chan struct{} // replaced by Reconnect; read under mu
 }
@@ -220,7 +209,7 @@ func Dial(cfg Config) (*Client, error) {
 	hello := protocol.HelloBody{
 		Name: cfg.Name, Role: cfg.Role, Priority: cfg.Priority,
 		Classes:     cfg.EventClasses,
-		WireVersion: wireAsk(cfg),
+		WireVersion: protocol.WireBinary,
 	}
 	welcome, err := handshake(conn, cfg, hello, 1)
 	for hops := 0; err != nil && hops < maxRedirects; hops++ {
@@ -249,21 +238,9 @@ func Dial(cfg Config) (*Client, error) {
 	c.mu.Lock()
 	c.memberID = welcome.MemberID
 	c.token = welcome.Token
-	c.wireVer = welcome.WireVersion
 	c.mu.Unlock()
 	go c.readLoop()
 	return c, nil
-}
-
-// wireAsk is the wire version the hello requests: binary with the
-// trace-context extension unless pinned to JSON. The server echoes the
-// granted version in the welcome — an older server omits the field and
-// the session stays on JSON.
-func wireAsk(cfg Config) int {
-	if cfg.WireJSON {
-		return 0
-	}
-	return 2
 }
 
 // newTraceID draws a fresh nonzero trace ID for a sampled request.
@@ -367,28 +344,12 @@ func (c *Client) Estimator() *clock.Estimator { return c.est }
 // Clock returns the client's local clock.
 func (c *Client) Clock() clock.Clock { return c.cfg.Clock }
 
-// WireVersion reports the wire framing the server granted in the
-// welcome: 0 is the JSON framing, 2 the binary framing with the
-// trace-context extension. It can change across Reconnect (an older
-// server demotes the session to JSON).
-func (c *Client) WireVersion() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.wireVer
-}
-
+// send writes one post-welcome frame: always the binary framing.
 func (c *Client) send(msg protocol.Message) error {
 	c.mu.Lock()
 	conn := c.conn
-	ver := c.wireVer
 	c.mu.Unlock()
-	var wire []byte
-	var err error
-	if ver >= 2 {
-		wire, err = protocol.EncodeBinary(msg)
-	} else {
-		wire, err = protocol.Encode(msg)
-	}
+	wire, err := protocol.EncodeBinary(msg)
 	if err != nil {
 		return err
 	}
@@ -459,7 +420,7 @@ func (c *Client) readLoop() {
 			}
 			return
 		}
-		msg, err := protocol.DecodeAny(wire)
+		msg, err := protocol.DecodeBinary(wire)
 		if err != nil {
 			continue
 		}
@@ -1519,7 +1480,7 @@ func (c *Client) Reconnect() error {
 	welcome, err := handshake(conn, c.cfg, protocol.HelloBody{
 		Name: c.cfg.Name, Role: c.cfg.Role, Priority: c.cfg.Priority, Token: token,
 		Classes:     classes,
-		WireVersion: wireAsk(c.cfg),
+		WireVersion: protocol.WireBinary,
 	}, helloSeq)
 	if err != nil {
 		_ = conn.Close()
@@ -1544,7 +1505,6 @@ func (c *Client) Reconnect() error {
 	c.connDown = false
 	c.memberID = welcome.MemberID
 	c.token = welcome.Token
-	c.wireVer = welcome.WireVersion
 	c.readerDone = make(chan struct{})
 	c.repairs = nil // fresh connection, fresh pacing
 	for g := range c.joined {

@@ -2,6 +2,7 @@ package client_test
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -66,6 +67,35 @@ func TestDialRejectsWrongWelcomeType(t *testing.T) {
 	})
 	if _, err := client.Dial(client.Config{Network: n, Addr: "fake:1", Name: "x"}); err == nil {
 		t.Error("non-welcome reply should fail")
+	}
+}
+
+// TestDialSurfacesWireVersionRefusal checks the hello asks for the
+// binary framing and a server's typed wire_version refusal surfaces
+// from Dial as ErrDenied.
+func TestDialSurfacesWireVersionRefusal(t *testing.T) {
+	n := netsim.New(5)
+	asked := make(chan int, 1)
+	fakeServer(t, n, func(conn transport.Conn) {
+		wire, err := conn.Recv()
+		if err != nil {
+			return
+		}
+		var hello protocol.HelloBody
+		if msg, err := protocol.Decode(wire); err == nil && msg.Into(&hello) == nil {
+			asked <- hello.WireVersion
+		}
+		reject := protocol.MustNew(protocol.TErr, protocol.ErrBody{Code: protocol.CodeWireVersion})
+		reject.Seq = 1
+		wire, _ = protocol.Encode(reject)
+		_ = conn.Send(wire)
+	})
+	_, err := client.Dial(client.Config{Network: n, Addr: "fake:1", Name: "x"})
+	if !errors.Is(err, client.ErrDenied) || !strings.Contains(err.Error(), protocol.CodeWireVersion) {
+		t.Errorf("err = %v, want ErrDenied with code %s", err, protocol.CodeWireVersion)
+	}
+	if v := <-asked; v != protocol.WireBinary {
+		t.Errorf("hello wire_version = %d, want %d", v, protocol.WireBinary)
 	}
 }
 

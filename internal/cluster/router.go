@@ -251,7 +251,7 @@ func (rs *routerSession) run() {
 		if err != nil {
 			return
 		}
-		msg, err := protocol.DecodeAny(wire)
+		msg, err := protocol.DecodeBinary(wire)
 		if err != nil {
 			continue
 		}
@@ -378,10 +378,6 @@ func (rs *routerSession) admit() error {
 		Role:     hello.Role,
 		Priority: hello.Priority,
 		Classes:  hello.Classes,
-		// The home node's welcome fixes the session's wire version; the
-		// identity carries it so every later upstream speaks the same
-		// format to this client without renegotiating.
-		WireVersion: welcome.WireVersion,
 	}
 	up := &upstream{idx: homeIdx, conn: conn, groups: make(map[string]bool)}
 	rs.ups[homeIdx] = up
@@ -620,7 +616,7 @@ func (rs *routerSession) upstreamDown(up *upstream) {
 		moved.Origin = fmt.Sprintf("n%d", up.idx)
 	}
 	note := protocol.MustNew(protocol.TNodeMoved, moved)
-	if wire, err := protocol.Encode(note); err == nil {
+	if wire, err := protocol.EncodeBinary(note); err == nil {
 		_ = rs.sendClient(wire)
 	}
 }
@@ -668,7 +664,7 @@ func (r *Router) Recover(idx int) error {
 		moved = append(moved, groups...)
 	}
 	r.pmap.MarkUp(idx)
-	if wire, err := protocol.Encode(protocol.MustNew(protocol.TNodeMoved, protocol.NodeMovedBody{
+	if wire, err := protocol.EncodeBinary(protocol.MustNew(protocol.TNodeMoved, protocol.NodeMovedBody{
 		Groups: moved, Epoch: epoch,
 	})); err == nil {
 		r.mu.Lock()
@@ -707,7 +703,7 @@ func (r *Router) askMigrate(j, node int, addr string, epoch int64) ([]string, er
 		if err != nil {
 			return nil, err
 		}
-		msg, err := protocol.DecodeAny(reply)
+		msg, err := protocol.DecodeBinary(reply)
 		if err != nil || msg.Type != protocol.TForward {
 			continue
 		}

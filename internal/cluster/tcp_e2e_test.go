@@ -44,14 +44,12 @@ func pickKeyFor(t *testing.T, addrs []string, prefix string, owner int) string {
 	return ""
 }
 
-// TestClusterTCPE2E boots 1 router + 2 nodes on real localhost sockets
-// and runs the acceptance flow across the partition boundary: join,
-// floor arbitration, a cross-node invitation, and a client reconnect
-// after a node handoff.
-func TestClusterTCPE2E(t *testing.T) {
+// startTCPCluster boots 1 router + 2 cluster nodes on real localhost
+// sockets, all closed at test cleanup.
+func startTCPCluster(t *testing.T) ([]*server.Server, []string, *cluster.Router) {
+	t.Helper()
 	addrs := freePorts(t, 3)
 	nodeAddrs, routerAddr := addrs[:2], addrs[2]
-
 	nodes := make([]*server.Server, 2)
 	for i := range nodes {
 		mon, err := resource.New(resource.MinBound, resource.DefaultThresholds())
@@ -79,6 +77,16 @@ func TestClusterTCPE2E(t *testing.T) {
 	}
 	router.Start()
 	t.Cleanup(router.Close)
+	return nodes, nodeAddrs, router
+}
+
+// TestClusterTCPE2E boots 1 router + 2 nodes on real localhost sockets
+// and runs the acceptance flow across the partition boundary: join,
+// floor arbitration, a cross-node invitation, and a client reconnect
+// after a node handoff.
+func TestClusterTCPE2E(t *testing.T) {
+	nodes, nodeAddrs, router := startTCPCluster(t)
+	routerAddr := router.Addr()
 
 	dial := func(name, role string, prio int) *client.Client {
 		t.Helper()

@@ -1,10 +1,9 @@
-// Binary wire framing (wire version 2). The handshake always speaks
-// JSON; a client that sets HelloBody.WireVersion and gets it echoed in
-// the welcome switches the rest of its session to these frames. A
-// binary-negotiated endpoint still accepts JSON frames — the first byte
-// discriminates (binMagic vs '{') and DecodeAny reads either. Inside
-// the fleet there is only this framing: retained log bytes, replica
-// stores, WAL records and TForward envelopes are all binary frames.
+// Binary wire framing (wire version WireBinary). The handshake speaks
+// JSON; every frame after the welcome is one of these, in both
+// directions, on client sessions, router upstreams and peer links
+// alike. Inside the fleet there is only this framing: retained log
+// bytes, replica stores, WAL records and TForward envelopes are all
+// binary frames.
 //
 // Frame layout (the outer transport already delimits the frame, so no
 // inner length prefix is needed; all lengths are uvarints that the
@@ -218,9 +217,9 @@ func appendLPString(b []byte, s string) []byte {
 }
 
 // DecodeAny dispatches on the first byte: binary frames to
-// DecodeBinary, everything else to the JSON Decode. This is the decoder
-// for any frame whose sender may speak either framing: client sessions,
-// peer links, and the router's upstreams.
+// DecodeBinary, everything else to the JSON Decode. It reads the first
+// frame a server gets on a connection — a JSON hello or node_hello, or
+// the binary forward that opens a peer link.
 func DecodeAny(data []byte) (Message, error) {
 	if IsBinaryFrame(data) {
 		return DecodeBinary(data)
@@ -634,33 +633,4 @@ func readSuspend(r *frameReader, v *SuspendBody) error {
 		}
 	}
 	return nil
-}
-
-// jsonBody materializes the JSON form of a natively-decoded body — the
-// binary→JSON transcode step Encode needs when re-encoding a frame for
-// a JSON-negotiated session.
-func jsonBody(t Type, body []byte) (json.RawMessage, error) {
-	var out any
-	switch t {
-	case TChatEvent, TAnnotateEvent:
-		out = &SequencedBody{}
-	case TFloorEvent:
-		out = &FloorEventBody{}
-	case TSuspend, TResume:
-		out = &SuspendBody{}
-	case TChat:
-		out = &ChatBody{}
-	case TAnnotate:
-		out = &AnnotateBody{}
-	default:
-		return nil, fmt.Errorf("%w: %s has no native codec", ErrBodyMismatch, t)
-	}
-	if err := intoNative(t, body, out); err != nil {
-		return nil, err
-	}
-	raw, err := json.Marshal(out)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: transcode %s body: %w", t, err)
-	}
-	return raw, nil
 }

@@ -3,10 +3,11 @@
 // client↔server traffic — handshake, group administration, floor
 // control requests, chat/whiteboard, clock synchronization, status
 // probing and presentation control — uses these messages. The envelope
-// has two wire forms: the JSON encoding every session starts in
+// has two wire forms: the JSON encoding of the handshake frames
 // (Encode/Decode), and the compact binary framing of binary.go
-// (EncodeBinary/DecodeBinary) a session switches to when the handshake
-// negotiates HelloBody.WireVersion. DecodeAny reads either.
+// (EncodeBinary/DecodeBinary) every frame after the welcome uses, in
+// both directions. DecodeAny reads either and serves only the first
+// frame a server reads on a connection.
 package protocol
 
 import (
@@ -268,10 +269,7 @@ type Message struct {
 	// (0 at the root), and TraceFlags carries TraceSampled. All three
 	// are omitted from the wire — JSON omitempty, binary flagTrace —
 	// whenever TraceID is zero, so an untraced message is byte-for-byte
-	// what a pre-trace peer would have produced. On the JSON framing the
-	// fields ride freely (JSON decoders ignore unknown fields, so every
-	// older peer tolerates them); on the binary framing they ride the
-	// flagTrace extension.
+	// what a pre-trace peer would have produced.
 	TraceID     uint64 `json:"trace_id,omitempty"`
 	TraceParent uint64 `json:"trace_parent,omitempty"`
 	TraceFlags  uint8  `json:"trace_flags,omitempty"`
@@ -282,9 +280,8 @@ type Message struct {
 	// can natively encode the hot types without re-parsing Body.
 	bodyObj any
 	// bodyBin holds the natively-encoded body of a decoded binary frame
-	// (Body stays nil for those): Into decodes it directly, Encode
-	// materializes the JSON form on demand, and EncodeBinary copies it
-	// verbatim.
+	// (Body stays nil for those): Into decodes it directly and
+	// EncodeBinary copies it verbatim.
 	bodyBin []byte
 }
 
@@ -301,15 +298,21 @@ type HelloBody struct {
 	// event classes this client wants pushed (nil or empty means all;
 	// ClassNone alone means none). TSubscribe replaces it later.
 	Classes []string `json:"classes,omitempty"`
-	// WireVersion asks to speak a newer wire framing after the
-	// handshake: 0 (or absent — every pre-binary client) keeps the
-	// session on JSON, 2 requests the binary framing of binary.go with
-	// its trace-context frame extension. The server echoes the version
-	// it accepted in WelcomeBody.WireVersion — 2 for an ask of 2 or
-	// more, 0 otherwise — and both sides switch only after the welcome;
-	// the handshake itself is always JSON.
+	// WireVersion names the framing the client speaks after the
+	// welcome. It must be WireBinary: the server refuses any other
+	// value (missing included) with a CodeWireVersion error.
 	WireVersion int `json:"wire_version,omitempty"`
 }
+
+// WireBinary is the one wire version a server accepts in
+// HelloBody.WireVersion: the binary framing of binary.go with its
+// trace-context frame extension, spoken by both sides from the frame
+// after the welcome on.
+const WireBinary = 2
+
+// CodeWireVersion is the TErr code answering a hello whose
+// WireVersion is not WireBinary; the connection closes after it.
+const CodeWireVersion = "wire_version"
 
 // SubscribeBody replaces the session's event-class mask: the server
 // stops queuing logged events of classes outside it. Nil or empty means
@@ -327,11 +330,6 @@ type WelcomeBody struct {
 	// Token is the session-resume credential: presenting it in a later
 	// THello reconnects as the same member.
 	Token string `json:"token,omitempty"`
-	// WireVersion is the wire framing the server accepted for the rest
-	// of the session: 0 = JSON (also what a pre-binary server, which
-	// never sets the field, answers), 2 = binary with the trace-context
-	// extension. Never higher than the version the hello asked for.
-	WireVersion int `json:"wire_version,omitempty"`
 }
 
 // GroupBody names a group.
@@ -592,10 +590,6 @@ type NodeHelloBody struct {
 	Role     string   `json:"role"`
 	Priority int      `json:"priority"`
 	Classes  []string `json:"classes,omitempty"`
-	// WireVersion carries the client's negotiated wire framing to the
-	// serving node, so a routed session speaks one format end to end
-	// (the router relays frames verbatim).
-	WireVersion int `json:"wire_version,omitempty"`
 }
 
 // NodeMemberInfo is one member record riding a node-to-node forward —
@@ -815,17 +809,12 @@ func MustNew(t Type, body any) Message {
 	return m
 }
 
-// Encode serializes a message as JSON. A message decoded from a binary
-// frame with a natively-encoded body has its JSON body materialized
-// here — the binary→JSON transcode a mixed-format deployment needs when
-// replaying stored binary frames to a JSON-negotiated session.
+// Encode serializes a handshake frame (hello, node_hello, welcome, or
+// an err before the welcome) as JSON. A natively-decoded binary body
+// has no JSON form here: everything after the welcome is EncodeBinary.
 func Encode(m Message) ([]byte, error) {
 	if len(m.Body) == 0 && m.bodyBin != nil {
-		raw, err := jsonBody(m.Type, m.bodyBin)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: encode: %w", err)
-		}
-		m.Body = raw
+		return nil, fmt.Errorf("protocol: encode: %s has a binary-only body", m.Type)
 	}
 	out, err := json.Marshal(m)
 	if err != nil {

@@ -53,7 +53,7 @@ func (s *Server) backfillGroupLog(sess *session, groupID string, afters map[stri
 		return
 	}
 	if _, complete := lg.Replay(afters, sess.wantsClass, func(wire []byte) {
-		s.sendWire(sess, s.wireFor(sess, wire, nil))
+		s.sendWire(sess, wire)
 	}); !complete {
 		s.sendSnapshot(sess, groupID, boardSeq)
 		return
@@ -106,7 +106,7 @@ func (s *Server) backfillMemberLog(sess *session, afters map[string]int64) {
 		return
 	}
 	heads, complete := lg.Replay(afters, sess.wantsClass, func(wire []byte) {
-		s.sendWire(sess, s.wireFor(sess, wire, nil))
+		s.sendWire(sess, wire)
 	})
 	if complete {
 		return

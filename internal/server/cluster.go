@@ -463,7 +463,7 @@ func (s *Server) deliverMemberEvent(id group.MemberID, msg protocol.Message) {
 		s.logSendTo(id, msg)
 		return
 	}
-	wire, err := s.encodeCanonical(msg)
+	wire, err := s.encode(msg)
 	if err != nil {
 		return
 	}
@@ -486,7 +486,7 @@ func (s *Server) peerLoop(conn transport.Conn, first protocol.Message) {
 		if err != nil {
 			return
 		}
-		msg, err := protocol.DecodeAny(wire)
+		msg, err := protocol.DecodeBinary(wire)
 		if err != nil || msg.Type != protocol.TForward {
 			continue
 		}

@@ -14,10 +14,9 @@ import (
 )
 
 // TestEncodesCountsDeliveryPath pins the encode-once accounting on the
-// server instance: a logged broadcast to an all-binary group costs
-// exactly one encode, JSON members add exactly one shared transcode
-// between them, and another server's traffic in the same process never
-// shows up in the count. The count is exported as dmps_encodes_total.
+// server instance: a logged broadcast to a group costs exactly one
+// encode, and another server's traffic in the same process never shows
+// up in the count. The count is exported as dmps_encodes_total.
 func TestEncodesCountsDeliveryPath(t *testing.T) {
 	n := netsim.New(1)
 	start := func(addr string) *Server {
@@ -31,11 +30,11 @@ func TestEncodesCountsDeliveryPath(t *testing.T) {
 		return srv
 	}
 	a, b := start("a:1"), start("b:1")
-	dial := func(addr, name, groupID string, wireJSON bool) *client.Client {
+	dial := func(addr, name, groupID string) *client.Client {
 		t.Helper()
 		c, err := client.Dial(client.Config{
 			Network: n, Addr: addr, Name: name, Role: "participant", Priority: 2,
-			Timeout: 2 * time.Second, WireJSON: wireJSON,
+			Timeout: 2 * time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -52,13 +51,8 @@ func TestEncodesCountsDeliveryPath(t *testing.T) {
 		}
 		return c
 	}
-	binOnly := []*client.Client{dial("a:1", "b1", "bin", false), dial("a:1", "b2", "bin", false)}
-	mixed := []*client.Client{
-		dial("a:1", "m1", "mixed", false),
-		dial("a:1", "j1", "mixed", true),
-		dial("a:1", "j2", "mixed", true),
-	}
-	elsewhere := []*client.Client{dial("b:1", "o1", "bin", false)}
+	members := []*client.Client{dial("a:1", "b1", "bin"), dial("a:1", "b2", "bin"), dial("a:1", "b3", "bin")}
+	elsewhere := []*client.Client{dial("b:1", "o1", "bin")}
 
 	broadcast := func(srv *Server, groupID string, members []*client.Client) int64 {
 		t.Helper()
@@ -75,11 +69,8 @@ func TestEncodesCountsDeliveryPath(t *testing.T) {
 		}
 		return srv.Encodes() - before
 	}
-	if got := broadcast(a, "bin", binOnly); got != 1 {
-		t.Errorf("binary group broadcast encodes = %d, want 1", got)
-	}
-	if got := broadcast(a, "mixed", mixed); got != 2 {
-		t.Errorf("mixed group broadcast encodes = %d, want 2 (canonical + one shared JSON transcode)", got)
+	if got := broadcast(a, "bin", members); got != 1 {
+		t.Errorf("group broadcast encodes = %d, want 1", got)
 	}
 	aBefore := a.Encodes()
 	if got := broadcast(b, "bin", elsewhere); got != 1 {

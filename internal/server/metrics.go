@@ -146,7 +146,7 @@ func (s *Server) RegisterMetrics(reg *metrics.Registry) {
 		}
 		return one(float64(s.wireMsgsOut.Load()) / float64(flushes))
 	})
-	reg.CounterFunc("dmps_encodes_total", "Delivery-path encodes: canonical, per-session and JSON transcode.", func() []metrics.Sample {
+	reg.CounterFunc("dmps_encodes_total", "Delivery-path encodes: canonical and per-session.", func() []metrics.Sample {
 		return one(float64(s.Encodes()))
 	})
 	if s.wal != nil {

@@ -134,7 +134,7 @@ func (s *Server) runMigration(conn transport.Conn, body protocol.ForwardBody) {
 			reply(nil)
 			return
 		}
-		msg, err := protocol.DecodeAny(wire)
+		msg, err := protocol.DecodeBinary(wire)
 		if err != nil || msg.Type != protocol.TForward {
 			continue
 		}

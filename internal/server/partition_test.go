@@ -154,7 +154,7 @@ func TestPartitionRoutesInstallTheSameState(t *testing.T) {
 	// at the node that natively owns them.
 	native := newRouteServer(t, owner, true, "")
 	for _, tb := range []protocol.TakeoverBody{src, srcM} {
-		msg, err := protocol.DecodeAny(cluster.EncodeForward(protocol.ForwardBody{
+		msg, err := protocol.DecodeBinary(cluster.EncodeForward(protocol.ForwardBody{
 			Kind: protocol.ForwardTakeover, Takeover: &tb,
 		}, 0, 0))
 		if err != nil {

@@ -23,9 +23,14 @@ func rawDial(t *testing.T, l *lab) transport.Conn {
 	return conn
 }
 
+// sendMsg writes one frame: JSON for the handshake, binary after it.
 func sendMsg(t *testing.T, conn transport.Conn, msg protocol.Message) {
 	t.Helper()
-	wire, err := protocol.Encode(msg)
+	encode := protocol.EncodeBinary
+	if msg.Type == protocol.THello {
+		encode = protocol.Encode
+	}
+	wire, err := encode(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,20 +69,22 @@ func TestServerRejectsNonHelloFirstMessage(t *testing.T) {
 func TestServerSurvivesMalformedBodies(t *testing.T) {
 	l := newLab(t)
 	conn := rawDial(t, l)
-	hello := protocol.MustNew(protocol.THello, protocol.HelloBody{Name: "abuser", Priority: 2})
+	hello := protocol.MustNew(protocol.THello, protocol.HelloBody{Name: "abuser", Priority: 2, WireVersion: protocol.WireBinary})
 	hello.Seq = 1
 	sendMsg(t, conn, hello)
 	if _, err := conn.Recv(); err != nil { // welcome
 		t.Fatal(err)
 	}
-	// Now a barrage of malformed requests: wrong body shapes, unknown
-	// types, missing groups. Every one must be answered or ignored, never
-	// crash the session.
+	// Now a barrage of malformed requests: wrong body shapes, an unknown
+	// type code, missing groups. Every one must be answered or ignored,
+	// never crash the session.
+	if err := conn.Send([]byte{0xDF, 0, 0xFE, 5, 0, 0, 0, 0, 0, 0}); err != nil { // type code past AllTypes
+		t.Fatal(err)
+	}
 	abuses := []protocol.Message{
 		{Type: protocol.TJoin, Seq: 2, Body: []byte(`{"group": 42}`)},
 		{Type: protocol.TFloorRequest, Seq: 3, Group: "ghost", Body: []byte(`{"mode":"imaginary"}`)},
 		{Type: protocol.TFloorRequest, Seq: 4, Group: "ghost", Body: []byte(`{"mode":"free-access"}`)},
-		{Type: "warp_core_breach", Seq: 5},
 		{Type: protocol.TTokenPass, Seq: 6, Group: "ghost", Body: []byte(`{"to":""}`)},
 		{Type: protocol.TInviteReply, Seq: 7, Body: []byte(`{"invite_id":"NaN"}`)},
 		{Type: protocol.TAnnotate, Seq: 8, Group: "ghost", Body: []byte(`{"kind":"explode"}`)},
@@ -86,8 +93,8 @@ func TestServerSurvivesMalformedBodies(t *testing.T) {
 	for _, msg := range abuses {
 		sendMsg(t, conn, msg)
 	}
-	// Collect replies; each abuse with a Seq gets an err (or is ignored
-	// for unknown types, which reply too per dispatch).
+	// Collect replies; each abuse gets an err (the undecodable frame a
+	// seq-less one).
 	errCount := 0
 	deadline := time.After(2 * time.Second)
 	for errCount < 7 {
@@ -100,7 +107,7 @@ func TestServerSurvivesMalformedBodies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("session died: %v", err)
 		}
-		msg, err := protocol.Decode(wire)
+		msg, err := protocol.DecodeBinary(wire)
 		if err != nil {
 			continue
 		}
@@ -117,7 +124,7 @@ func TestServerSurvivesMalformedBodies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("post-abuse recv: %v", err)
 		}
-		msg, err := protocol.Decode(wire)
+		msg, err := protocol.DecodeBinary(wire)
 		if err != nil {
 			continue
 		}

@@ -245,12 +245,6 @@ type session struct {
 	// the lights/backpressure tables cover homed sessions only — a node
 	// tracks lights for exactly the members it homes.
 	homed bool
-	// binWire is the session's negotiated wire framing (true = binary
-	// wire version 2, false = JSON), fixed by the handshake before the
-	// session is installed — read without locking ever after.
-	// Everything sent to the session is encoded (or transcoded) to this
-	// framing; inbound frames of either format are accepted regardless.
-	binWire bool
 
 	// queue carries encoded wire messages to the writer goroutine.
 	queue chan queued
@@ -397,67 +391,27 @@ func (s *session) light(now time.Time, timeout time.Duration) Light {
 	return Green
 }
 
-// encode serializes a message in one wire framing and counts it. Every
-// delivery-path encode goes through here — canonical (retained or
-// broadcast) frames, per-session frames and JSON transcodes — so
-// Encodes can prove the encode-once fan-out. Peer forward envelopes
-// (cluster.EncodeForward) are per-append, not per-recipient, and are
-// not counted.
-func (s *Server) encode(msg protocol.Message, binWire bool) ([]byte, error) {
+// encode serializes a message as a binary frame and counts it. Every
+// delivery-path encode goes through here — the retained wire form shared
+// by the group log, WAL and replication stream, broadcast frames and
+// per-session frames — so Encodes can prove the encode-once fan-out.
+// Peer forward envelopes (cluster.EncodeForward) are per-append, not
+// per-recipient, and are not counted.
+func (s *Server) encode(msg protocol.Message) ([]byte, error) {
 	s.encodes.Add(1)
-	if binWire {
-		return protocol.EncodeBinary(msg)
-	}
-	return protocol.Encode(msg)
+	return protocol.EncodeBinary(msg)
 }
 
 // Encodes reports the delivery-path encodes this server has made since
 // it started (see encode).
 func (s *Server) Encodes() int64 { return s.encodes.Load() }
 
-// encodeFor encodes a message in the session's negotiated wire framing.
-func (s *Server) encodeFor(sess *session, msg protocol.Message) ([]byte, error) {
-	return s.encode(msg, sess.binWire)
-}
-
-// encodeCanonical produces the retained wire form shared by the group
-// log, WAL, and replication stream: always a binary frame. JSON
-// sessions get a transcode at fan-out via wireFor.
-func (s *Server) encodeCanonical(msg protocol.Message) ([]byte, error) {
-	return s.encode(msg, true)
-}
-
-// wireFor adapts retained binary wire bytes to the session's negotiated
-// framing: binary sessions take them verbatim, a JSON session gets a
-// transcode. A fan-out passes jsonWire so the transcode is made once
-// and shared by every JSON session (nil means no sharing). On a
-// malformed frame the original bytes pass through: the session surfaces
-// a decode error rather than silently losing the event.
-func (s *Server) wireFor(sess *session, wire []byte, jsonWire *[]byte) []byte {
-	if sess.binWire {
-		return wire
-	}
-	if jsonWire != nil && *jsonWire != nil {
-		return *jsonWire
-	}
-	out := wire
-	if msg, err := protocol.DecodeBinary(wire); err == nil {
-		if js, err := s.encode(msg, false); err == nil {
-			out = js
-		}
-	}
-	if jsonWire != nil {
-		*jsonWire = out
-	}
-	return out
-}
-
 // sendMsg encodes a message and queues it for this session alone,
 // reporting whether it fit (an unencodable message reports true: there
 // is nothing to retry). Events shared by many recipients should be
-// encoded once with encodeCanonical and fanned out via sendWire.
+// encoded once with encode and fanned out via sendWire.
 func (s *Server) sendMsg(sess *session, msg protocol.Message) bool {
-	wire, err := s.encodeFor(sess, msg)
+	wire, err := s.encode(msg)
 	if err != nil {
 		return true
 	}
@@ -473,7 +427,7 @@ func (s *Server) sendMsg(sess *session, msg protocol.Message) bool {
 // must use sendWire instead (blocking on someone else's queue would let
 // one slow consumer stall another member's handler).
 func (s *Server) sendReliable(sess *session, msg protocol.Message) {
-	wire, err := s.encodeFor(sess, msg)
+	wire, err := s.encode(msg)
 	if err != nil {
 		return
 	}
@@ -801,7 +755,7 @@ func (s *Server) handle(conn transport.Conn) {
 			return
 		}
 		s.wireIn.Add(int64(len(wire)))
-		msg, err := protocol.DecodeAny(wire)
+		msg, err := protocol.DecodeBinary(wire)
 		if err != nil {
 			s.replyErr(sess, 0, "decode", err)
 			continue
@@ -828,19 +782,22 @@ func (s *Server) handle(conn transport.Conn) {
 // the window a concurrent Reap can revoke the token in.
 var testResumeRaceHook func()
 
-// rejectExpired answers a resume attempt whose token no longer resolves
-// with the typed session_expired error before the connection closes, so
-// the client can tell an expired session apart from a network failure —
-// on every path, including the reap-races-the-resume window.
-func rejectExpired(conn transport.Conn, seq int64) {
-	reject := protocol.MustNew(protocol.TErr, protocol.ErrBody{
-		Code:   "session_expired",
-		Detail: "unknown or expired session token; reconnect with a fresh hello",
-	})
+// rejectHello answers a hello with a typed error before the connection
+// closes — JSON, since no welcome was sent — so the client can tell a
+// refusal apart from a network failure.
+func rejectHello(conn transport.Conn, seq int64, code, detail string) {
+	reject := protocol.MustNew(protocol.TErr, protocol.ErrBody{Code: code, Detail: detail})
 	reject.Seq = seq
 	if wire, err := protocol.Encode(reject); err == nil {
 		_ = conn.Send(wire)
 	}
+}
+
+// rejectExpired answers a resume attempt whose token no longer resolves
+// with the typed session_expired error, on every path — including the
+// reap-races-the-resume window.
+func rejectExpired(conn transport.Conn, seq int64) {
+	rejectHello(conn, seq, "session_expired", "unknown or expired session token; reconnect with a fresh hello")
 }
 
 // handshake admits a client: the first message must be THello (or, on a
@@ -872,6 +829,11 @@ func (s *Server) handshake(conn transport.Conn) (*session, protocol.Message, err
 		if err := msg.Into(&hello); err != nil {
 			return nil, protocol.Message{}, err
 		}
+		if hello.WireVersion != protocol.WireBinary {
+			rejectHello(conn, msg.Seq, protocol.CodeWireVersion,
+				fmt.Sprintf("wire_version %d unsupported; this server speaks %d", hello.WireVersion, protocol.WireBinary))
+			return nil, protocol.Message{}, fmt.Errorf("server: handshake: wire_version %d (%w)", hello.WireVersion, transport.ErrClosed)
+		}
 	case protocol.TForward:
 		if s.cluster == nil {
 			return nil, protocol.Message{}, fmt.Errorf("server: handshake: forward outside cluster mode (%w)", transport.ErrClosed)
@@ -893,7 +855,6 @@ func (s *Server) handshake(conn transport.Conn) (*session, protocol.Message, err
 			return nil, protocol.Message{}, err
 		}
 		hello.Classes = nh.Classes
-		hello.WireVersion = nh.WireVersion
 		homed = false
 		fresh = false
 	default:
@@ -913,13 +874,7 @@ func (s *Server) handshake(conn transport.Conn) (*session, protocol.Message, err
 			if s.cluster != nil {
 				key := cluster.HomeKey(group.SanitizeName(hello.Name))
 				if !s.homesMember(group.MemberID(key)) {
-					reject := protocol.MustNew(protocol.TErr, protocol.ErrBody{
-						Code: protocol.CodeNodeMoved, Detail: s.ownerAddr(key),
-					})
-					reject.Seq = msg.Seq
-					if w, encErr := protocol.Encode(reject); encErr == nil {
-						_ = conn.Send(w)
-					}
+					rejectHello(conn, msg.Seq, protocol.CodeNodeMoved, s.ownerAddr(key))
 					return nil, protocol.Message{}, fmt.Errorf("server: handshake: member homed elsewhere (%w)", transport.ErrClosed)
 				}
 			}
@@ -943,13 +898,7 @@ func (s *Server) handshake(conn transport.Conn) (*session, protocol.Message, err
 				var redirect string
 				if id, redirect, ok = s.adoptResume(hello.Token); !ok {
 					if redirect != "" {
-						reject := protocol.MustNew(protocol.TErr, protocol.ErrBody{
-							Code: protocol.CodeNodeMoved, Detail: redirect,
-						})
-						reject.Seq = msg.Seq
-						if w, encErr := protocol.Encode(reject); encErr == nil {
-							_ = conn.Send(w)
-						}
+						rejectHello(conn, msg.Seq, protocol.CodeNodeMoved, redirect)
 						return nil, protocol.Message{}, fmt.Errorf("server: handshake: member homed elsewhere (%w)", transport.ErrClosed)
 					}
 					// The token was reaped (SessionTTL) or never issued.
@@ -980,21 +929,10 @@ func (s *Server) handshake(conn transport.Conn) (*session, protocol.Message, err
 		}
 	}
 
-	// The hello's wire_version is a request: an ask of 2 or more is
-	// granted 2 (binary frames with the trace-context extension, the
-	// one binary version this server speaks), anything lower stays on
-	// JSON (0). Both sides switch framing strictly after the welcome:
-	// the whole handshake is JSON, so a v0 peer never sees a frame it
-	// cannot read.
-	wireVer := 0
-	if hello.WireVersion >= 2 {
-		wireVer = 2
-	}
 	sess := &session{
 		member:   member,
 		conn:     conn,
 		homed:    homed,
-		binWire:  wireVer == 2,
 		queue:    make(chan queued, s.cfg.SendQueueCap),
 		down:     make(chan struct{}),
 		lastSeen: s.cfg.Clock.Now(),
@@ -1008,7 +946,6 @@ func (s *Server) handshake(conn transport.Conn) (*session, protocol.Message, err
 		MemberID:        string(member.ID),
 		ServerTimeNanos: protocol.Nanos(s.master.GlobalNow()),
 		Token:           token,
-		WireVersion:     wireVer,
 	})
 	welcome.Seq = msg.Seq
 	s.mu.Lock()
@@ -1215,25 +1152,21 @@ func (s *Server) groupTargets(groupID string) []*session {
 }
 
 // broadcastGroup delivers a transient (unlogged) message to every
-// connected member of a group: the message is encoded at most once per
-// wire framing — lazily, so a uniform group pays exactly one encode —
-// and the wire bytes are queued to each recipient's writer. Drops are
-// final — state events must go through logBroadcast instead.
+// connected member of a group: the message is encoded once — lazily, so
+// an empty group pays nothing — and the wire bytes are queued to each
+// recipient's writer. Drops are final — state events must go through
+// logBroadcast instead.
 func (s *Server) broadcastGroup(groupID string, msg protocol.Message) {
-	var jsonWire, binWire []byte
+	var wire []byte
 	for _, sess := range s.groupTargets(groupID) {
-		wire := &jsonWire
-		if sess.binWire {
-			wire = &binWire
-		}
-		if *wire == nil {
-			w, err := s.encodeFor(sess, msg)
+		if wire == nil {
+			w, err := s.encode(msg)
 			if err != nil {
-				continue
+				return
 			}
-			*wire = w
+			wire = w
 		}
-		s.sendWire(sess, *wire)
+		s.sendWire(sess, wire)
 	}
 }
 
@@ -1253,17 +1186,15 @@ func stampLogged(msg *protocol.Message, groupID, class string, state bool, gseq,
 // fanOutLogged queues pre-encoded logged-event bytes to every target
 // session whose event-class mask admits the class; masked sessions get
 // nothing — not even a marker — which is exactly why logged events are
-// sequenced per class. The retained bytes are binary; when the group
-// mixes in JSON-negotiated sessions, the JSON form is produced once and
-// shared — a uniform group still pays exactly one encode per event.
+// sequenced per class. The retained bytes go out verbatim: one encode
+// per event, group size notwithstanding.
 func (s *Server) fanOutLogged(targets []*session, class string, wire []byte) {
-	var jsonWire []byte
 	for _, sess := range targets {
 		if !sess.wantsClass(class) {
 			sess.filtered.Add(1)
 			continue
 		}
-		s.sendWire(sess, s.wireFor(sess, wire, &jsonWire))
+		s.sendWire(sess, wire)
 	}
 }
 
@@ -1299,7 +1230,7 @@ func (s *Server) logBroadcast(groupID string, msg protocol.Message) {
 		if tc.sampled() {
 			e0 = time.Now()
 		}
-		wire, err := s.encodeCanonical(msg)
+		wire, err := s.encode(msg)
 		if tc.sampled() {
 			s.plane.Span(tc.id, tc.id, trace.StageEncode, e0)
 		}
@@ -1360,33 +1291,29 @@ func (s *Server) logFloorEvent(groupID string, body protocol.FloorEventBody, tc 
 		if tc.sampled() {
 			e0 = time.Now()
 		}
-		wire, err := s.encodeCanonical(msg)
+		wire, err := s.encode(msg)
 		if tc.sampled() {
 			s.plane.Span(tc.id, tc.id, trace.StageEncode, e0)
 		}
 		return wire, err
 	}, func(wire []byte) {
-		var jsonWire []byte
 		for _, sess := range targets {
 			if !sess.wantsClass(protocol.ClassFloor) {
 				sess.filtered.Add(1)
 				continue
 			}
-			var w []byte
+			w := wire
 			if pos := queueSlotFor(body, queue, string(sess.member.ID)); pos > 0 {
-				// Personalized copies are per-recipient by nature, so they
-				// encode straight into the session's negotiated framing.
+				// Personalized copies are per-recipient by nature: each
+				// is its own encode.
 				personal := body
 				personal.QueuePosition = pos
 				pmsg := protocol.MustNew(protocol.TFloorEvent, personal)
 				stampLogged(&pmsg, groupID, protocol.ClassFloor, refresh, gseqAt, cseqAt)
 				tc.stamp(&pmsg)
-				if pw, err := s.encodeFor(sess, pmsg); err == nil {
+				if pw, err := s.encode(pmsg); err == nil {
 					w = pw
 				}
-			}
-			if w == nil {
-				w = s.wireFor(sess, wire, &jsonWire)
 			}
 			s.sendWire(sess, w)
 		}
@@ -1453,7 +1380,7 @@ func (s *Server) logSuspend(groupID string, typ protocol.Type, member string, le
 		if tc.sampled() {
 			e0 = time.Now()
 		}
-		wire, err := s.encodeCanonical(msg)
+		wire, err := s.encode(msg)
 		if tc.sampled() {
 			s.plane.Span(tc.id, tc.id, trace.StageEncode, e0)
 		}
@@ -1497,7 +1424,7 @@ func (s *Server) logSendTo(id group.MemberID, msg protocol.Message) {
 		msg.GSeq = gseq
 		msg.Class = class
 		msg.CSeq = cseq
-		return s.encodeCanonical(msg)
+		return s.encode(msg)
 	}, func(wire []byte) {
 		// Member logs are durable like group logs: journaled, and
 		// replicated to the R-1 successors — an invitation survives the
@@ -1514,7 +1441,7 @@ func (s *Server) logSendTo(id group.MemberID, msg protocol.Message) {
 			sess.filtered.Add(1)
 			return
 		}
-		s.sendWire(sess, s.wireFor(sess, wire, nil))
+		s.sendWire(sess, wire)
 	})
 }
 
